@@ -53,6 +53,7 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
+from repro.core.backends import BACKEND_NAMES
 from repro.core.config import ALGORITHMS, JoinConfig
 from repro.core.engine import iter_join_pairs
 from repro.core.join import similarity_join
@@ -92,12 +93,11 @@ def _add_join_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default="python",
-        choices=("python", "numpy", "native"),
+        choices=BACKEND_NAMES,
         help="kernel backend: 'python' (default, pure-python "
-        "reference), 'numpy' (vectorized block kernels; requires the "
-        "optional numpy dependency), or 'native' (compiled C kernels; "
-        "requires the optional extension to be built); results are "
-        "identical in every case",
+        "reference) or 'native' (compiled C kernels; requires the "
+        "optional extension to be built); results are identical in "
+        "every case",
     )
     parser.add_argument(
         "--stats", action="store_true", help="print pipeline statistics"

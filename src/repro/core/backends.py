@@ -1,31 +1,19 @@
 """Execution-backend dispatch for the hot filter kernels.
 
-A backend supplies both the *scalar* and the *batched* variants of the
-two hot filter kernels — Theorem 4 CDF bounds and the Section 5
-frequency bounds — used by the engine's per-candidate refine path and
-its batch-refine path (DESIGN.md §6f/§6j). Three backends exist:
+A backend supplies the two hot filter kernels — Theorem 4 CDF bounds
+and the Section 5 frequency bounds — that the engine's per-candidate
+refine loop calls once per (R, S) pair (DESIGN.md §6f). Two backends
+exist:
 
 ``python``
-    The pinned reference: scalar kernel per candidate, exactly the
-    floats every golden fixture was frozen against. It deliberately
-    reports ``supports_batch = False`` so the engine keeps its scalar
-    per-candidate hot path (no grouping overhead for no gain).
-
-``numpy``
-    Vectorized block kernels (:mod:`repro.filters.batch_numpy`), bit-
-    identical to the reference by construction and enforced by
-    ``tests/test_backend_parity.py``. Scalar calls fall back to the
-    reference kernels — vectorization only pays on blocks. Optional:
-    selecting it without numpy installed raises
-    :class:`~repro.core.errors.ConfigurationError`, while merely
-    importing ``repro`` never requires numpy.
+    The pinned reference: exactly the floats every golden fixture was
+    frozen against, and the fallback wherever no C toolchain is
+    available.
 
 ``native``
     Compiled C kernels (:mod:`repro.filters._native`), bit-identical to
     the reference by construction (same IEEE-754 operation order, same
-    libm) and enforced by ``tests/test_native_backend.py``. Fastest on
-    the scalar path too, so ``supports_batch = True`` merely batches
-    the marshalling; the engine may use either path. Optional:
+    libm) and enforced by ``tests/test_native_backend.py``. Optional:
     available only when the C extension was built (and not disabled via
     ``REPRO_NATIVE_DISABLE``); selecting it otherwise raises
     :class:`~repro.core.errors.ConfigurationError` naming the reason.
@@ -40,30 +28,23 @@ resume under another.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from repro.core.errors import ConfigurationError
-from repro.filters import _native, batch_numpy
-from repro.filters.cdf import cdf_bounds, cdf_bounds_batch
-from repro.filters.frequency import (
-    FrequencyProfile,
-    frequency_bounds,
-    frequency_bounds_batch,
-)
+from repro.filters import _native
+from repro.filters.cdf import cdf_bounds
+from repro.filters.frequency import FrequencyProfile, frequency_bounds
 from repro.uncertain.string import UncertainString
 
 _Bounds = tuple[tuple[float, ...], tuple[float, ...]]
 
-BACKEND_NAMES: tuple[str, ...] = ("python", "numpy", "native")
+BACKEND_NAMES: tuple[str, ...] = ("python", "native")
 
 
 class KernelBackend(Protocol):
     """The kernel surface a backend must provide."""
 
     name: str
-    #: Whether the engine should group candidates and call the batch
-    #: kernels (False keeps the scalar per-candidate path).
-    supports_batch: bool
 
     def cdf_bounds(
         self,
@@ -81,28 +62,11 @@ class KernelBackend(Protocol):
         k: int,
     ) -> tuple[int, float | None]: ...
 
-    def cdf_bounds_batch(
-        self,
-        left: UncertainString,
-        rights: Sequence[UncertainString],
-        k: int,
-        left_features: object | None = None,
-        right_features: Sequence[object | None] | None = None,
-    ) -> list[_Bounds]: ...
-
-    def frequency_bounds_batch(
-        self,
-        left: FrequencyProfile,
-        rights: Sequence[FrequencyProfile],
-        k: int,
-    ) -> list[tuple[int, float]]: ...
-
 
 class PythonBackend:
-    """Reference backend: scalar kernels, candidate at a time."""
+    """Reference backend: the pure-python scalar kernels."""
 
     name = "python"
-    supports_batch = False
 
     def cdf_bounds(
         self,
@@ -126,72 +90,11 @@ class PythonBackend:
         result: tuple[int, float | None] = frequency_bounds(left, right, k)
         return result
 
-    def cdf_bounds_batch(
-        self,
-        left: UncertainString,
-        rights: Sequence[UncertainString],
-        k: int,
-        left_features: object | None = None,
-        right_features: Sequence[object | None] | None = None,
-    ) -> list[_Bounds]:
-        result: list[_Bounds] = cdf_bounds_batch(
-            left, rights, k, left_features, right_features
-        )
-        return result
-
-    def frequency_bounds_batch(
-        self,
-        left: FrequencyProfile,
-        rights: Sequence[FrequencyProfile],
-        k: int,
-    ) -> list[tuple[int, float]]:
-        result: list[tuple[int, float]] = frequency_bounds_batch(
-            left, rights, k
-        )
-        return result
-
-
-class NumpyBackend(PythonBackend):
-    """Vectorized backend over ``(num_candidates, ...)`` arrays.
-
-    Scalar calls inherit the reference kernels — per-ufunc dispatch
-    overhead makes vectorizing single pairs a loss, and the floats are
-    identical either way.
-    """
-
-    name = "numpy"
-    supports_batch = True
-
-    def cdf_bounds_batch(
-        self,
-        left: UncertainString,
-        rights: Sequence[UncertainString],
-        k: int,
-        left_features: object | None = None,
-        right_features: Sequence[object | None] | None = None,
-    ) -> list[_Bounds]:
-        result: list[_Bounds] = batch_numpy.cdf_bounds_batch_numpy(
-            left, rights, k, left_features, right_features
-        )
-        return result
-
-    def frequency_bounds_batch(
-        self,
-        left: FrequencyProfile,
-        rights: Sequence[FrequencyProfile],
-        k: int,
-    ) -> list[tuple[int, float]]:
-        result: list[tuple[int, float]] = (
-            batch_numpy.frequency_bounds_batch_numpy(left, rights, k)
-        )
-        return result
-
 
 class NativeBackend:
-    """Compiled-C backend: fastest scalar kernels, batch = scalar loop."""
+    """Compiled-C backend: the same scalar kernels, bit-identical."""
 
     name = "native"
-    supports_batch = True
 
     def cdf_bounds(
         self,
@@ -217,42 +120,6 @@ class NativeBackend:
         )
         return result
 
-    def cdf_bounds_batch(
-        self,
-        left: UncertainString,
-        rights: Sequence[UncertainString],
-        k: int,
-        left_features: object | None = None,
-        right_features: Sequence[object | None] | None = None,
-    ) -> list[_Bounds]:
-        result: list[_Bounds] = _native.cdf_bounds_batch_native(
-            left, rights, k, left_features, right_features
-        )
-        return result
-
-    def frequency_bounds_batch(
-        self,
-        left: FrequencyProfile,
-        rights: Sequence[FrequencyProfile],
-        k: int,
-    ) -> list[tuple[int, float]]:
-        result: list[tuple[int, float]] = (
-            _native.frequency_bounds_batch_native(left, rights, k)
-        )
-        return result
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy backend can actually run here."""
-    available: bool = batch_numpy.numpy_available()
-    return available
-
-
-def native_available() -> bool:
-    """Whether the optional compiled backend can actually run here."""
-    available: bool = _native.native_available()
-    return available
-
 
 def backend_availability() -> dict[str, str | None]:
     """Per-backend availability: name → ``None`` (usable) or the reason
@@ -262,17 +129,8 @@ def backend_availability() -> dict[str, str | None]:
     suite document (so a bench JSON's ``skipped_kernels`` is
     attributable without rerunning anything).
     """
-    numpy_reason = (
-        None
-        if numpy_available()
-        else "numpy is not installed (pip install numpy)"
-    )
     native_reason: str | None = _native.native_unavailable_reason()
-    return {
-        "python": None,
-        "numpy": numpy_reason,
-        "native": native_reason,
-    }
+    return {"python": None, "native": native_reason}
 
 
 def available_backends() -> tuple[str, ...]:
@@ -297,15 +155,13 @@ def resolve_backend(name: str) -> KernelBackend:
     usable = ", ".join(
         backend for backend in BACKEND_NAMES if availability[backend] is None
     )
-    if name in ("numpy", "native"):
+    if name == "native":
         reason = availability[name]
         if reason is not None:
             raise ConfigurationError(
                 f"backend {name!r} is not available: {reason}. "
                 f"Backends available in this interpreter: {usable}."
             )
-        if name == "numpy":
-            return NumpyBackend()
         return NativeBackend()
     missing = "; ".join(
         f"{backend}: {reason}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Literal
 
+from repro.core.backends import BACKEND_NAMES
 from repro.core.dispatch import parse_shard
 from repro.core.errors import ConfigurationError
 from repro.filters.alpha import GroupMode
@@ -101,15 +102,15 @@ class JoinConfig:
         uses the platform default. Runtime-only — results and
         fingerprints never depend on it.
     backend:
-        Kernel execution backend (:mod:`repro.core.backends`):
-        ``"python"`` (default) keeps the pinned scalar reference path,
-        ``"numpy"`` vectorizes the frequency/CDF filters over blocks of
-        candidates, ``"native"`` runs the compiled C kernels (fastest,
-        requires the optional extension to be built). Results are
-        byte-identical in every case; the optional backends' absence is
-        only an error when one is actually selected (checked at engine
-        construction, so configs stay constructible and picklable
-        everywhere).
+        Kernel execution backend (:mod:`repro.core.backends`), one of
+        :data:`~repro.core.backends.BACKEND_NAMES`: ``"python"``
+        (default) runs the pinned reference kernels, ``"native"`` the
+        compiled C kernels (fastest, requires the optional extension to
+        be built). Both decide every candidate through the same scalar
+        refine loop, and results are byte-identical; the native
+        extension's absence is only an error when it is actually
+        selected (checked at engine construction, so configs stay
+        constructible and picklable everywhere).
     """
 
     k: int
@@ -198,10 +199,10 @@ class JoinConfig:
                 f"unknown mp_start {self.mp_start!r}; "
                 "choose from ['fork', 'forkserver', 'spawn']"
             )
-        if self.backend not in ("python", "numpy", "native"):
+        if self.backend not in BACKEND_NAMES:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; "
-                "choose from ['native', 'numpy', 'python']"
+                f"choose from {sorted(BACKEND_NAMES)}"
             )
 
     @classmethod

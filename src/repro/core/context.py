@@ -73,7 +73,7 @@ class StringFeatures:
         #: Opaque cache for the optional native backend
         #: (:mod:`repro.filters._native`): the string's C-marshalled
         #: agreement arrays, built lazily on first native kernel use.
-        #: Always ``None`` on the pure-python and numpy paths.
+        #: Always ``None`` on the pure-python path.
         self._native_pack: object | None = None
 
     @property

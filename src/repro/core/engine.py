@@ -302,11 +302,6 @@ class JoinEngine:
     ) -> None:
         self.config = config
         self.stats = stats if stats is not None else JoinStatistics()
-        # Batch refinement folds the whole candidate block under one τ
-        # read, so it is only sound when τ is the constant config.tau —
-        # an adaptive provider (top-N) must keep the per-candidate path
-        # that re-reads τ between pulls.
-        self._constant_tau = tau is None
         self.tau: TauProvider = tau if tau is not None else (lambda: config.tau)
         self.source = make_source(config, index=index, store=store)
         self.chain = StageChain(config, force_exact=force_exact, context=context)
@@ -363,20 +358,17 @@ class JoinEngine:
         requests over one shared engine, each request folding its own
         sink, so the shared attribute is never reassigned underneath a
         sibling thread. ``tau`` overrides the engine's threshold for
-        this probe only: a float enables the constant-τ batch path, a
-        callable is treated as an adaptive provider (scalar path).
+        this probe only: a float is a constant threshold, a callable an
+        adaptive provider.
         """
         run_stats = stats if stats is not None else self.stats
         if tau is None:
             provider = self.tau
-            constant = self._constant_tau
         elif callable(tau):
             provider = tau
-            constant = False
         else:
             threshold = float(tau)
             provider = lambda: threshold  # noqa: E731
-            constant = True
         context = self.chain.context(query_id, query)
         candidates = self.source.probe(query, provider(), run_stats)
         # Store-backed string caches hydrate the whole candidate block
@@ -384,23 +376,6 @@ class JoinEngine:
         prefetch = getattr(self._strings, "prefetch", None)
         if prefetch is not None and len(candidates) >= 2:
             prefetch([candidate_id for candidate_id, _ in candidates])
-        if constant and self.chain.batch_refine and len(candidates) >= 2:
-            # Batch-refine path (DESIGN.md §6f): group the probe's
-            # surviving candidates and run each filter stage as one
-            # vectorized kernel call over the block. Results are
-            # byte-identical to the scalar loop below.
-            entries = [
-                (candidate_id, self._strings[candidate_id], upper)
-                for candidate_id, upper in candidates
-            ]
-            refined = self.chain.refine_block(
-                context, entries, provider(), run_stats
-            )
-            for (candidate_id, _, _), (similar, probability) in zip(
-                entries, refined
-            ):
-                yield candidate_id, similar, probability
-            return
         for candidate_id, upper in candidates:
             similar, probability = self.chain.refine(
                 context,

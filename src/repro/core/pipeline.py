@@ -14,7 +14,7 @@ consumer runs the exact same stages.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.core.backends import KernelBackend, PythonBackend, resolve_backend
 from repro.core.config import JoinConfig, VerificationName
@@ -153,51 +153,6 @@ class FrequencyStage:
             )
         return FilterDecision(FilterVerdict.UNDECIDED, upper=upper)
 
-    def apply_batch(
-        self,
-        context: QueryContext,
-        candidate_ids: Sequence[int],
-        candidates: Sequence[UncertainString],
-        tau: float,
-    ) -> list[FilterDecision]:
-        """One decision per candidate; identical to per-pair ``apply``.
-
-        The batch kernel computes the Theorem 3 bound even for Lemma 6
-        rejects (the scalar path short-circuits it), which cannot flip
-        any verdict; the emitted decisions carry the scalar path's
-        exact fields either way.
-        """
-        store = self._profiles
-        probe = store.profile(context.features, context.query)
-        profiles = [
-            store.profile(store.features_for(cid, cand), cand)
-            for cid, cand in zip(candidate_ids, candidates)
-        ]
-        rows = self._backend.frequency_bounds_batch(probe, profiles, self._k)
-        decisions: list[FilterDecision] = []
-        for lower_fd, upper in rows:
-            if lower_fd > self._k:
-                decisions.append(
-                    FilterDecision(
-                        FilterVerdict.REJECT,
-                        upper=0.0,
-                        reason=f"Lemma 6 frequency distance >= {lower_fd} > k",
-                    )
-                )
-            elif upper <= tau:
-                decisions.append(
-                    FilterDecision(
-                        FilterVerdict.REJECT,
-                        upper=upper,
-                        reason=f"Theorem 3 upper bound {upper:.6g} <= tau",
-                    )
-                )
-            else:
-                decisions.append(
-                    FilterDecision(FilterVerdict.UNDECIDED, upper=upper)
-                )
-        return decisions
-
 
 class CdfStage:
     """Theorem 4 per-cell CDF bounds (name ``cdf``)."""
@@ -250,54 +205,6 @@ class CdfStage:
         return FilterDecision(
             FilterVerdict.UNDECIDED, lower=lower[k], upper=upper[k]
         )
-
-    def apply_batch(
-        self,
-        context: QueryContext,
-        candidate_ids: Sequence[int],
-        candidates: Sequence[UncertainString],
-        tau: float,
-    ) -> list[FilterDecision]:
-        """One decision per candidate; identical to per-pair ``apply``."""
-        k = self._k
-        features = [
-            self._profiles.features_for(cid, cand)
-            for cid, cand in zip(candidate_ids, candidates)
-        ]
-        bounds = self._backend.cdf_bounds_batch(
-            context.query,
-            candidates,
-            k,
-            left_features=context.features,
-            right_features=features,
-        )
-        decisions: list[FilterDecision] = []
-        for lower, upper in bounds:
-            if lower[k] > tau:
-                decisions.append(
-                    FilterDecision(
-                        FilterVerdict.ACCEPT,
-                        lower=lower[k],
-                        upper=upper[k],
-                        reason=f"CDF lower bound {lower[k]:.6g} > tau",
-                    )
-                )
-            elif upper[k] <= tau:
-                decisions.append(
-                    FilterDecision(
-                        FilterVerdict.REJECT,
-                        lower=lower[k],
-                        upper=upper[k],
-                        reason=f"CDF upper bound {upper[k]:.6g} <= tau",
-                    )
-                )
-            else:
-                decisions.append(
-                    FilterDecision(
-                        FilterVerdict.UNDECIDED, lower=lower[k], upper=upper[k]
-                    )
-                )
-        return decisions
 
 
 class VerifyStage:
@@ -382,10 +289,6 @@ class StageChain:
         self.profiles = ProfileStore(context)
         self.backend = resolve_backend(config.backend)
         self.stages = build_filter_stages(config, self.profiles, self.backend)
-        #: Whether :meth:`refine_block` is worth calling: the backend
-        #: must actually vectorize and there must be filter stages to
-        #: batch (pure-verification chains gain nothing from grouping).
-        self.batch_refine = self.backend.supports_batch and bool(self.stages)
         self._want_probability = force_exact or config.report_probabilities
         self._verify = VerifyStage(
             config.k,
@@ -458,78 +361,3 @@ class StageChain:
         else:
             stats.record("verification", "false")
         return similar, probability if similar else None
-
-    def refine_block(
-        self,
-        context: QueryContext,
-        entries: Sequence[tuple[int, UncertainString, float | None]],
-        threshold: float,
-        stats: JoinStatistics,
-    ) -> list[tuple[bool, float | None]]:
-        """:meth:`refine` for a block of one probe's candidates at once.
-
-        ``entries`` are ``(candidate_id, candidate, source_upper)``
-        triples; the return list is aligned with them. Semantics are
-        identical to calling :meth:`refine` per candidate under a fixed
-        ``threshold`` — same verdicts, same probabilities, same per-stage
-        counter totals (stage timers aggregate whole blocks instead of
-        single pairs, which no consumer compares) — but each filter
-        stage runs one batched kernel call over the block's survivors,
-        which is where the numpy backend's vectorization pays off.
-        """
-        results: list[tuple[bool, float | None] | None] = [None] * len(entries)
-        check_active()
-        active: list[int] = []
-        for i, (_, _, upper) in enumerate(entries):
-            if upper is not None and upper <= threshold:
-                stats.record("bound", "rejected")
-                results[i] = (False, None)
-            else:
-                active.append(i)
-        accepted: list[int] = []
-        for stage in self.stages:
-            if not active:
-                break
-            check_active()
-            for _ in active:
-                stats.record(stage.name, "checked")
-            with stats.timer(stage.name):
-                decisions = stage.apply_batch(
-                    context,
-                    [entries[i][0] for i in active],
-                    [entries[i][1] for i in active],
-                    threshold,
-                )
-            still_active: list[int] = []
-            for i, decision in zip(active, decisions):
-                if decision.rejected:
-                    stats.record(stage.name, "rejected")
-                    results[i] = (False, None)
-                elif decision.accepted:
-                    stats.record(stage.name, "accepted")
-                    accepted.append(i)
-                else:
-                    stats.record(stage.name, "undecided")
-                    still_active.append(i)
-            active = still_active
-        if not self._want_probability:
-            for i in accepted:
-                results[i] = (True, None)
-            accepted = []
-        # Undecided survivors (and accepted pairs when exact
-        # probabilities are wanted) verify one pair at a time, in the
-        # block's candidate order — verification has no batch kernel.
-        for i in sorted(active + accepted):
-            check_active()
-            candidate = entries[i][1]
-            stats.record("verification", "checked")
-            with stats.timer(self._verify.name):
-                similar, probability = self._verify.verify(
-                    context, candidate, threshold
-                )
-            if similar:
-                stats.record("verification", "hits")
-            else:
-                stats.record("verification", "false")
-            results[i] = (similar, probability if similar else None)
-        return [result if result is not None else (False, None) for result in results]

@@ -36,7 +36,6 @@ import glob
 import os
 import threading
 from array import array
-from typing import Sequence
 
 from repro.filters.frequency import FrequencyProfile
 from repro.uncertain.string import UncertainString
@@ -404,22 +403,6 @@ def cdf_bounds_native(
     return tuple(out[:k1]), tuple(out[k1:])
 
 
-def cdf_bounds_batch_native(
-    left: UncertainString,
-    rights: Sequence[UncertainString],
-    k: int,
-    left_features: object | None = None,
-    right_features: "Sequence[object | None] | None" = None,
-) -> list[_Bounds]:
-    """Batch variant: one compiled scalar call per candidate, in order."""
-    if right_features is None:
-        right_features = [None] * len(rights)
-    return [
-        cdf_bounds_native(left, right, k, left_features, features)
-        for right, features in zip(rights, right_features)
-    ]
-
-
 def frequency_bounds_native(
     left: FrequencyProfile,
     right: FrequencyProfile,
@@ -450,34 +433,3 @@ def frequency_bounds_native(
     if lower_fd > k:
         return lower_fd, None
     return lower_fd, out[0]
-
-
-def frequency_bounds_batch_native(
-    left: FrequencyProfile,
-    rights: Sequence[FrequencyProfile],
-    k: int,
-) -> list[tuple[int, float]]:
-    """Batch variant matching ``frequency_bounds_batch``: the upper
-    bound is computed unconditionally (same floats — the compiled
-    kernel always evaluates it; the scalar wrapper merely withholds it
-    on Lemma 6 rejects)."""
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    lib = _require_lib()
-    left_pack = _profile_pack(left)
-    out = array("d", (0.0,))
-    out_address = out.buffer_info()[0]
-    rows: list[tuple[int, float]] = []
-    for right in rights:
-        right_pack = _profile_pack(right)
-        lower_fd = int(
-            lib.repro_frequency_bounds(
-                *left_pack.args, *right_pack.args, k, out_address
-            )
-        )
-        if lower_fd < 0:
-            raise ValueError(
-                f"native frequency kernel rejected the call (rc={lower_fd})"
-            )
-        rows.append((lower_fd, out[0]))
-    return rows

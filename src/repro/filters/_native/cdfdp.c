@@ -179,7 +179,7 @@ repro_edit_banded(const int32_t *left, int32_t n, const int32_t *right,
  * smaller support (ties -> left, like the python reference), in its
  * most-probable-first array order, looking the character up in the
  * other side's support (absent -> 0.0).  Reproduces the inlined
- * accumulation of cdf_bounds / agreement_from_entries bit-for-bit:
+ * accumulation of cdf_bounds bit-for-bit:
  * the certain-position shortcuts of the reference (1.0 comparisons,
  * single pdf lookups) are exactly this loop specialised to support
  * size 1, and multiplying by 1.0 / adding 0.0 is exact in IEEE-754. */
@@ -424,7 +424,7 @@ repro_cdf_bounds(const int32_t *l_offs, const int32_t *l_codes,
 }
 
 /* ------------------------------------------------------------------ */
-/* Section 5 frequency bounds (mirrors frequency_bounds_batch's body)  */
+/* Section 5 frequency bounds (mirrors frequency_bounds)               */
 /* ------------------------------------------------------------------ */
 
 /* E[(count - threshold)^+] from a marshalled distribution — the

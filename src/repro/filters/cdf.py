@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Sequence
 
 from repro.distance.edit import edit_distance_banded
 from repro.filters.base import FilterDecision, FilterVerdict
@@ -156,33 +155,6 @@ def cdf_cache_stats() -> dict[str, int]:
     """
     with _CACHE_LOCK:
         return dict(_CACHE_STATS)
-
-
-def agreement_from_entries(left_entry: object, right_entry: object) -> float:
-    """``p1 = Pr(R[x] = S[y])`` from two agreement-table entries.
-
-    Exactly the accumulation the scalar DP inlines (same branch on the
-    smaller support, same left-to-right sum order), factored out so the
-    batch backends produce bit-identical ``p1`` values. Entries are a
-    ``str`` for a certain position or ``(chars, probs, pdf)`` for an
-    uncertain one (:meth:`UncertainString.agreement_table` layout).
-    """
-    if type(left_entry) is str:
-        if type(right_entry) is str:
-            return 1.0 if left_entry == right_entry else 0.0
-        return right_entry[2].get(left_entry, 0.0)  # type: ignore[index]
-    if type(right_entry) is str:
-        return left_entry[2].get(right_entry, 0.0)  # type: ignore[index]
-    l_chars, l_probs, l_pdf = left_entry  # type: ignore[misc]
-    r_chars, r_probs, r_pdf = right_entry  # type: ignore[misc]
-    p1 = 0.0
-    if len(l_chars) > len(r_chars):
-        for char, prob in zip(r_chars, r_probs):
-            p1 += prob * l_pdf.get(char, 0.0)
-    else:
-        for char, prob in zip(l_chars, l_probs):
-            p1 += prob * r_pdf.get(char, 0.0)
-    return p1
 
 
 def cdf_bounds(
@@ -376,28 +348,6 @@ def cdf_bounds(
         tuple(prev_l[base : base + k1]),
         tuple(prev_u[base : base + k1]),
     )
-
-
-def cdf_bounds_batch(
-    left: UncertainString,
-    rights: Sequence[UncertainString],
-    k: int,
-    left_features: "object | None" = None,
-    right_features: "Sequence[object | None] | None" = None,
-) -> list[_Bounds]:
-    """Theorem 4 bounds for one probe against a block of candidates.
-
-    The pure-python reference batch entry point: a scalar
-    :func:`cdf_bounds` call per candidate, in order. Backends (see
-    :mod:`repro.core.backends`) override this with vectorized kernels
-    that must reproduce its floats bit-for-bit.
-    """
-    if right_features is None:
-        return [cdf_bounds(left, right, k, left_features) for right in rights]
-    return [
-        cdf_bounds(left, right, k, left_features, features)
-        for right, features in zip(rights, right_features)
-    ]
 
 
 class CdfBoundFilter:

@@ -134,7 +134,6 @@ class FrequencyProfile:
         "_by_char",
         "_chars",
         "_sorted_chars",
-        "_plane_cache",
         "_native_pack",
     )
 
@@ -159,11 +158,6 @@ class FrequencyProfile:
         # fresh set per call. Insertion order above is sorted already.
         self._chars = frozenset(by_char)
         self._sorted_chars = tuple(by_char)
-        # Opaque per-profile scratch for the optional numpy backend
-        # (repro.filters.batch_numpy): flattened count-distribution
-        # arrays, built lazily on first batched use. Always None on the
-        # pure-python paths.
-        self._plane_cache: object | None = None
         # Opaque per-profile scratch for the optional native backend
         # (repro.filters._native): the C-marshalled S1/S2/S3 planes,
         # built lazily on first native use. Always None otherwise.
@@ -348,35 +342,6 @@ def frequency_bounds(
         expectations=expected_positive_negative(left, right, support),
     )
     return lower_fd, upper
-
-
-def frequency_bounds_batch(
-    left: FrequencyProfile,
-    rights: Sequence[FrequencyProfile],
-    k: int,
-) -> list[tuple[int, float]]:
-    """``(Lemma 6 lower bound, Theorem 3 upper bound)`` per candidate.
-
-    The pure-python reference batch entry point for one probe profile
-    against a block of candidate profiles: per pair one merged-support
-    walk feeds Lemma 6 and both expectation sides, exactly like
-    :meth:`FrequencyDistanceFilter.decide` (the upper bound is computed
-    unconditionally here; ``decide`` merely short-circuits it after a
-    Lemma 6 reject, which cannot change any verdict). Vectorized
-    backends must reproduce these values bit-for-bit.
-    """
-    rows: list[tuple[int, float]] = []
-    for right in rights:
-        support = merged_support(left, right)
-        lower_fd = fd_lower_bound(left, right, support)
-        upper = chebyshev_upper_bound(
-            left,
-            right,
-            k,
-            expectations=expected_positive_negative(left, right, support),
-        )
-        rows.append((lower_fd, upper))
-    return rows
 
 
 class FrequencyDistanceFilter:

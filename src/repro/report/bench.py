@@ -59,9 +59,9 @@ BenchFn = Callable[[], Any]
 class KernelCase:
     """One micro-benchmark: ``setup()`` → (callable, logical ops per call).
 
-    ``requires`` names an optional backend dependency (``"numpy"`` or
-    ``"native"``); when it is unavailable the runner records the case
-    under ``skipped_kernels`` instead of failing, and the regression
+    ``requires`` names an optional backend (``"native"``); when it is
+    unavailable the runner records the case under ``skipped_kernels``
+    instead of failing, and the regression
     gate tolerates its absence. The suite document's ``backends``
     section records *why* each optional backend is or is not usable, so
     a skip is attributable from the JSON alone.
@@ -75,10 +75,6 @@ class KernelCase:
 def _requirement_available(requirement: str | None) -> bool:
     if requirement is None:
         return True
-    if requirement == "numpy":
-        from repro.filters.batch_numpy import numpy_available
-
-        return numpy_available()
     if requirement == "native":
         from repro.filters._native import native_available
 
@@ -171,72 +167,6 @@ def _setup_frequency_filter() -> tuple[BenchFn, int]:
     return run, len(pairs)
 
 
-def _batch_workload(k: int = 2, size: int = 900, cap: int = 240):
-    """One uncertain probe + a large length-eligible candidate block.
-
-    The batch kernels amortize per-pair python overhead across a block,
-    so they are measured where the engine actually uses them: one probe
-    refined against a couple hundred candidates at once.
-    """
-    collection = _dblp(size, theta=0.3)
-    probe = next(s for s in collection if not s.is_certain)
-    block = [s for s in collection if abs(len(s) - len(probe)) <= k][:cap]
-    return probe, block
-
-
-def _setup_cdf_batch_python() -> tuple[BenchFn, int]:
-    """Reference block CDF kernel (python backend)."""
-    from repro.filters.cdf import cdf_bounds_batch
-
-    probe, block = _batch_workload()
-
-    def run():
-        cdf_bounds_batch(probe, block, 2)
-
-    return run, len(block)
-
-
-def _setup_cdf_batch_numpy() -> tuple[BenchFn, int]:
-    """Vectorized block CDF kernel (numpy backend)."""
-    from repro.filters.batch_numpy import cdf_bounds_batch_numpy
-
-    probe, block = _batch_workload()
-
-    def run():
-        cdf_bounds_batch_numpy(probe, block, 2)
-
-    return run, len(block)
-
-
-def _setup_frequency_batch_python() -> tuple[BenchFn, int]:
-    """Reference block frequency kernel (python backend)."""
-    from repro.filters.frequency import FrequencyProfile, frequency_bounds_batch
-
-    probe, block = _batch_workload()
-    left = FrequencyProfile(probe)
-    rights = [FrequencyProfile(s) for s in block]
-
-    def run():
-        frequency_bounds_batch(left, rights, 2)
-
-    return run, len(block)
-
-
-def _setup_frequency_batch_numpy() -> tuple[BenchFn, int]:
-    """Vectorized block frequency kernel (numpy backend)."""
-    from repro.filters.batch_numpy import frequency_bounds_batch_numpy
-    from repro.filters.frequency import FrequencyProfile
-
-    probe, block = _batch_workload()
-    left = FrequencyProfile(probe)
-    rights = [FrequencyProfile(s) for s in block]
-
-    def run():
-        frequency_bounds_batch_numpy(left, rights, 2)
-
-    return run, len(block)
-
-
 def _setup_cdf_filter_native() -> tuple[BenchFn, int]:
     """Compiled CDF bounds over the ``cdf_filter`` pair sample.
 
@@ -314,38 +244,6 @@ def _setup_banded_edit_k2_native() -> tuple[BenchFn, int]:
     return run, len(pairs)
 
 
-def _setup_cdf_batch_native() -> tuple[BenchFn, int]:
-    """Compiled block CDF kernel (native backend)."""
-    from repro.core.context import StringFeatures
-    from repro.filters._native import cdf_bounds_batch_native
-
-    probe, block = _batch_workload()
-    probe_features = StringFeatures(probe)
-    block_features = [StringFeatures(s) for s in block]
-
-    def run():
-        cdf_bounds_batch_native(
-            probe, block, 2, probe_features, block_features
-        )
-
-    return run, len(block)
-
-
-def _setup_frequency_batch_native() -> tuple[BenchFn, int]:
-    """Compiled block frequency kernel (native backend)."""
-    from repro.filters._native import frequency_bounds_batch_native
-    from repro.filters.frequency import FrequencyProfile
-
-    probe, block = _batch_workload()
-    left = FrequencyProfile(probe)
-    rights = [FrequencyProfile(s) for s in block]
-
-    def run():
-        frequency_bounds_batch_native(left, rights, 2)
-
-    return run, len(block)
-
-
 def _setup_profile_build() -> tuple[BenchFn, int]:
     from repro.filters.frequency import FrequencyProfile
 
@@ -380,12 +278,6 @@ KERNELS: tuple[KernelCase, ...] = (
     KernelCase("frequency_filter", _setup_frequency_filter),
     KernelCase("profile_build", _setup_profile_build),
     KernelCase("trie_verify_pair", _setup_trie_verify_pair),
-    KernelCase("cdf_batch_python", _setup_cdf_batch_python),
-    KernelCase("cdf_batch_numpy", _setup_cdf_batch_numpy, requires="numpy"),
-    KernelCase("frequency_batch_python", _setup_frequency_batch_python),
-    KernelCase(
-        "frequency_batch_numpy", _setup_frequency_batch_numpy, requires="numpy"
-    ),
     KernelCase(
         "cdf_filter_native", _setup_cdf_filter_native, requires="native"
     ),
@@ -404,14 +296,6 @@ KERNELS: tuple[KernelCase, ...] = (
         _setup_banded_edit_k2_native,
         requires="native",
     ),
-    KernelCase(
-        "cdf_batch_native", _setup_cdf_batch_native, requires="native"
-    ),
-    KernelCase(
-        "frequency_batch_native",
-        _setup_frequency_batch_native,
-        requires="native",
-    ),
 )
 
 #: reference/accelerated kernel pairs whose ns/op ratio becomes
@@ -420,18 +304,10 @@ KERNELS: tuple[KernelCase, ...] = (
 #: built native backend that is *slower* than the python reference on
 #: the CDF kernels fails ``--check`` outright (no baseline needed).
 _BACKEND_PAIRS: tuple[tuple[str, str, str], ...] = (
-    ("cdf_filter:numpy", "cdf_batch_python", "cdf_batch_numpy"),
-    (
-        "frequency_filter:numpy",
-        "frequency_batch_python",
-        "frequency_batch_numpy",
-    ),
     ("cdf_filter:native", "cdf_filter", "cdf_filter_native"),
     ("cdf_dp_uncertain:native", "cdf_dp_uncertain", "cdf_dp_uncertain_native"),
     ("frequency_filter:native", "frequency_filter", "frequency_filter_native"),
     ("banded_edit_k2:native", "banded_edit_k2", "banded_edit_k2_native"),
-    ("cdf_batch:native", "cdf_batch_python", "cdf_batch_native"),
-    ("frequency_batch:native", "frequency_batch_python", "frequency_batch_native"),
 )
 
 

@@ -19,6 +19,7 @@ accumulated before the budget ran out, with ``"partial": true``.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from repro.core.errors import ConfigurationError
@@ -96,7 +97,16 @@ def _float_field(
         raise ConfigurationError(
             f"request field {name!r} must be a number, got {value!r}"
         )
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    # json.loads accepts NaN/Infinity; a NaN timeout would never expire.
+    if not math.isfinite(number):
+        raise ConfigurationError(
+            f"request field {name!r} must be a finite number, got {value!r}"
+        )
+    return number
 
 
 def _int_field(

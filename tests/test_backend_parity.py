@@ -1,129 +1,29 @@
-"""Backend parity + regression tests for the batch-kernel PR.
+"""Backend parity: every kernel backend matches the python reference.
 
-The ``numpy`` backend must be **bit-for-bit** identical to the pinned
-pure-python reference: same bound tuples from the batch kernels under a
-hypothesis sweep, byte-identical golden driver output, and identical
-pipeline counters through the engine. Alongside the parity sweep, this
-module pins the satellite bugfixes that rode with the backend work:
-the bounded CDF memo caches, the deterministic retry jitter, and the
-bench regression gate's handling of unbaselined/skipped kernels.
-
-Everything except the numpy-marked tests must pass with numpy
-uninstalled — the backend is optional by contract.
+Each backend usable in this interpreter (``python`` always, ``native``
+when the C extension is built) must reproduce the golden driver output
+byte-for-byte and route every candidate through the same stage
+decisions, so the pipeline counters match the reference exactly. The
+bit-level kernel sweeps of the compiled backend live in
+``tests/test_native_backend.py``.
 """
 
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.backends import (
     BACKEND_NAMES,
-    NumpyBackend,
     PythonBackend,
     available_backends,
     resolve_backend,
 )
 from repro.core.config import ConfigurationError, JoinConfig
-from repro.core.executor import RetryPolicy
 from repro.core.join import similarity_join
-from repro.filters import batch_numpy
-from repro.filters.cdf import (
-    _BOUNDARY_CACHE,
-    _BOUNDARY_CACHE_MAX,
-    _ZERO_CACHE,
-    _ZERO_CACHE_MAX,
-    _boundary_cell,
-    _zero_cell,
-    cdf_bounds_batch,
-    clear_cdf_caches,
-)
-from repro.filters.frequency import FrequencyProfile, frequency_bounds_batch
-from repro.report import bench
 
 from tests import equivalence_spec as spec
-from tests.helpers import random_collection, random_uncertain, uncertain_strings
-
-HAS_NUMPY = batch_numpy.numpy_available()
-needs_numpy = pytest.mark.skipif(HAS_NUMPY is False, reason="numpy not installed")
-
-
-# ----------------------------------------------------------------------
-# batch kernel parity: numpy vs. the pure-python reference
-# ----------------------------------------------------------------------
-
-
-@needs_numpy
-@settings(max_examples=60, deadline=None)
-@given(
-    left=uncertain_strings(max_length=7),
-    rights=st.lists(uncertain_strings(max_length=7), min_size=1, max_size=5),
-    k=st.integers(min_value=0, max_value=3),
-)
-def test_cdf_batch_bitwise_parity(left, rights, k):
-    assert batch_numpy.cdf_bounds_batch_numpy(left, rights, k) == cdf_bounds_batch(
-        left, rights, k
-    )
-
-
-@needs_numpy
-@settings(max_examples=60, deadline=None)
-@given(
-    left=uncertain_strings(max_length=7),
-    rights=st.lists(uncertain_strings(max_length=7), min_size=1, max_size=5),
-    k=st.integers(min_value=0, max_value=3),
-)
-def test_frequency_batch_bitwise_parity(left, rights, k):
-    left_profile = FrequencyProfile(left)
-    right_profiles = [FrequencyProfile(r) for r in rights]
-    assert batch_numpy.frequency_bounds_batch_numpy(
-        left_profile, right_profiles, k
-    ) == frequency_bounds_batch(left_profile, right_profiles, k)
-
-
-@needs_numpy
-def test_random_sweep_parity_mixed_blocks():
-    """Denser deterministic sweep than hypothesis reaches per run."""
-    rng = random.Random(4242)
-    for _ in range(120):
-        k = rng.randint(0, 3)
-        left = random_uncertain(rng, rng.randint(1, 9), theta=rng.choice((0.0, 0.4)))
-        block = [
-            random_uncertain(rng, rng.randint(1, 9), theta=rng.choice((0.0, 0.4, 0.8)))
-            for _ in range(rng.randint(1, 6))
-        ]
-        assert batch_numpy.cdf_bounds_batch_numpy(
-            left, block, k
-        ) == cdf_bounds_batch(left, block, k)
-        lp = FrequencyProfile(left)
-        rps = [FrequencyProfile(r) for r in block]
-        assert batch_numpy.frequency_bounds_batch_numpy(
-            lp, rps, k
-        ) == frequency_bounds_batch(lp, rps, k)
-
-
-@needs_numpy
-def test_cdf_batch_rejects_negative_k():
-    left = random_uncertain(random.Random(1), 4)
-    with pytest.raises(ValueError):
-        batch_numpy.cdf_bounds_batch_numpy(left, [left], -1)
-
-
-# ----------------------------------------------------------------------
-# engine-level parity: golden fixture + identical counters
-# ----------------------------------------------------------------------
-
-
-@needs_numpy
-@pytest.mark.parametrize(
-    "key,config", list(spec.config_grid()), ids=[k for k, _ in spec.config_grid()]
-)
-def test_numpy_backend_reproduces_golden_join(key, config, golden_outputs):
-    collection = spec.self_collection()
-    outcome = similarity_join(collection, replace(config, backend="numpy"))
-    assert spec.encode_pairs(outcome.pairs) == golden_outputs[key]["join"]
+from tests.helpers import random_collection
 
 
 @pytest.fixture(scope="module")
@@ -136,22 +36,26 @@ def golden_outputs():
     )
 
 
-@needs_numpy
+@pytest.mark.parametrize(
+    "key,config", list(spec.config_grid()), ids=[k for k, _ in spec.config_grid()]
+)
+def test_backends_reproduce_golden_join(key, config, golden_outputs):
+    collection = spec.self_collection()
+    for name in available_backends():
+        outcome = similarity_join(collection, replace(config, backend=name))
+        assert spec.encode_pairs(outcome.pairs) == golden_outputs[key]["join"], name
+
+
 @pytest.mark.parametrize("algorithm", ["QFCT", "FCT"])
 def test_backends_agree_on_statistics(algorithm):
-    """Same pairs AND the same filter counters — the batched path must
-    route every candidate through the same stage decisions."""
+    """Same pairs AND the same filter counters under every backend."""
     collection = random_collection(
         random.Random(9), 60, length_range=(4, 10), theta=0.3
     )
     config = JoinConfig.for_algorithm(
         algorithm, k=2, tau=0.1, q=2, report_probabilities=True
     )
-    python_outcome = similarity_join(collection, replace(config, backend="python"))
-    numpy_outcome = similarity_join(collection, replace(config, backend="numpy"))
-    assert spec.encode_pairs(python_outcome.pairs) == spec.encode_pairs(
-        numpy_outcome.pairs
-    )
+    reference = similarity_join(collection, replace(config, backend="python"))
     fields = (
         "length_eligible_pairs",
         "frequency_checked",
@@ -164,220 +68,34 @@ def test_backends_agree_on_statistics(algorithm):
         "false_candidates",
         "result_pairs",
     )
-    for field in fields:
-        assert getattr(python_outcome.stats, field) == getattr(
-            numpy_outcome.stats, field
-        ), field
-    assert dict(python_outcome.stats.stage_counters) == dict(
-        numpy_outcome.stats.stage_counters
-    )
-
-
-# ----------------------------------------------------------------------
-# backend selection / optionality
-# ----------------------------------------------------------------------
+    for name in available_backends():
+        outcome = similarity_join(collection, replace(config, backend=name))
+        assert spec.encode_pairs(outcome.pairs) == spec.encode_pairs(
+            reference.pairs
+        ), name
+        for field in fields:
+            assert getattr(outcome.stats, field) == getattr(
+                reference.stats, field
+            ), (name, field)
+        assert dict(outcome.stats.stage_counters) == dict(
+            reference.stats.stage_counters
+        ), name
 
 
 def test_backend_names_and_resolution():
-    assert set(BACKEND_NAMES) == {"python", "numpy", "native"}
+    assert set(BACKEND_NAMES) == {"python", "native"}
     assert isinstance(resolve_backend("python"), PythonBackend)
-    assert not resolve_backend("python").supports_batch
     with pytest.raises(ConfigurationError):
         resolve_backend("cupy")
 
 
 def test_config_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError):
-        JoinConfig.for_algorithm("QFCT", k=1, tau=0.1, backend="fortran")
-
-
-@needs_numpy
-def test_numpy_backend_resolves_when_available():
-    backend = resolve_backend("numpy")
-    assert isinstance(backend, NumpyBackend)
-    assert backend.supports_batch
-    assert "numpy" in available_backends()
-
-
-def test_numpy_backend_unavailable_is_a_config_error(monkeypatch):
-    """Without numpy the join must keep working on the default backend,
-    and asking for numpy must fail with a clear configuration error —
-    not an ImportError from deep inside a filter stage."""
-    monkeypatch.setattr(batch_numpy, "_np", None)
-
-    def refuse(name):
-        raise ImportError(f"No module named {name!r}")
-
-    monkeypatch.setattr(batch_numpy.importlib, "import_module", refuse)
-    assert not batch_numpy.numpy_available()
-    assert "python" in available_backends()
-    assert "numpy" not in available_backends()
-    with pytest.raises(ConfigurationError):
-        resolve_backend("numpy")
-    # The python path is untouched by the missing dependency.
-    collection = random_collection(random.Random(3), 20)
-    config = JoinConfig.for_algorithm("QFCT", k=1, tau=0.1, backend="python")
-    outcome = similarity_join(collection, config)
-    assert outcome.stats.result_pairs == len(outcome.pairs)
-
-
-# ----------------------------------------------------------------------
-# satellite: bounded CDF memo caches
-# ----------------------------------------------------------------------
-
-
-def test_boundary_cache_is_bounded():
-    clear_cdf_caches()
-    try:
-        for distance in range(_BOUNDARY_CACHE_MAX + 300):
-            _boundary_cell(distance, 2)
-        assert len(_BOUNDARY_CACHE) == _BOUNDARY_CACHE_MAX
-        for k in range(_ZERO_CACHE_MAX + 20):
-            _zero_cell(k)
-        assert len(_ZERO_CACHE) == _ZERO_CACHE_MAX
-    finally:
-        clear_cdf_caches()
-
-
-def test_boundary_cache_eviction_is_lru():
-    clear_cdf_caches()
-    try:
-        first = _boundary_cell(0, 1)
-        for distance in range(1, _BOUNDARY_CACHE_MAX):
-            _boundary_cell(distance, 1)
-        # Touch the oldest entry, then overflow: the second-oldest is
-        # the one evicted, the touched entry survives.
-        assert _boundary_cell(0, 1) is first
-        _boundary_cell(_BOUNDARY_CACHE_MAX, 1)
-        assert (0, 1) in _BOUNDARY_CACHE
-        assert (1, 1) not in _BOUNDARY_CACHE
-    finally:
-        clear_cdf_caches()
-
-
-# ----------------------------------------------------------------------
-# satellite: deterministic retry jitter
-# ----------------------------------------------------------------------
-
-
-def test_retry_default_timing_is_unchanged():
-    policy = RetryPolicy(backoff=0.05, backoff_factor=2.0)
-    assert policy.delay(0) == 0.05
-    assert policy.delay(1) == 0.05 * 2.0
-    assert policy.delay(3, band_index=7) == 0.05 * 2.0**3
-
-
-def test_retry_jitter_is_deterministic_and_desynchronizes_bands():
-    policy = RetryPolicy(backoff=0.05, jitter=0.5, jitter_seed=11)
-    again = RetryPolicy(backoff=0.05, jitter=0.5, jitter_seed=11)
-    assert policy.delay(1, band_index=3) == again.delay(1, band_index=3)
-    delays = {policy.delay(1, band_index=band) for band in range(8)}
-    assert len(delays) == 8  # no two bands back off in lockstep
-    base = RetryPolicy(backoff=0.05).delay(1)
-    for value in delays:
-        assert base <= value <= base * 1.5
-    reseeded = RetryPolicy(backoff=0.05, jitter=0.5, jitter_seed=12)
-    assert reseeded.delay(1, band_index=3) != policy.delay(1, band_index=3)
-
-
-def test_retry_jitter_fraction_range_and_validation():
-    policy = RetryPolicy(jitter=1.0)
-    for band in range(4):
-        for attempt in range(4):
-            assert 0.0 <= policy.jitter_fraction(band, attempt) < 1.0
-    with pytest.raises(ConfigurationError):
-        RetryPolicy(jitter=-0.1)
-
-
-# ----------------------------------------------------------------------
-# satellite: bench regression gate vs. unbaselined / skipped kernels
-# ----------------------------------------------------------------------
-
-
-def _doc(kernels=(), joins=(), skipped=()):
-    return {
-        "kernels": {name: {"ns_per_op": ns} for name, ns in kernels},
-        "join": {name: {"pairs_per_sec": pps} for name, pps in joins},
-        "skipped_kernels": list(skipped),
-    }
-
-
-def test_gate_fails_on_unbaselined_kernel():
-    baseline = _doc(kernels=[("cdf_filter", 100.0)])
-    current = _doc(kernels=[("cdf_filter", 100.0), ("new_kernel", 5.0)])
-    failures = bench.check_regressions(current, baseline)
-    assert any("new_kernel" in f and "no baseline" in f for f in failures)
-    assert bench.check_regressions(current, baseline, allow_new_kernels=True) == []
-    assert bench.unbaselined_entries(current, baseline) == ["kernel new_kernel"]
-
-
-def test_gate_fails_on_unbaselined_join():
-    baseline = _doc(joins=[("workers1", 1000.0)])
-    current = _doc(joins=[("workers1", 1000.0), ("workers8", 900.0)])
-    failures = bench.check_regressions(current, baseline)
-    assert any("workers8" in f for f in failures)
-
-
-def test_gate_tolerates_skipped_optional_kernels():
-    baseline = _doc(
-        kernels=[("cdf_batch_numpy", 50.0), ("cdf_filter", 100.0)]
-    )
-    current = _doc(
-        kernels=[("cdf_filter", 100.0)], skipped=["cdf_batch_numpy"]
-    )
-    assert bench.check_regressions(current, baseline) == []
-    # ... but a non-skipped disappearance still fails.
-    gone = _doc(kernels=[("cdf_filter", 100.0)])
-    failures = bench.check_regressions(gone, baseline)
-    assert any("cdf_batch_numpy" in f and "missing" in f for f in failures)
-
-
-def test_gate_still_catches_slowdowns():
-    baseline = _doc(kernels=[("cdf_filter", 100.0)], joins=[("workers1", 1000.0)])
-    current = _doc(kernels=[("cdf_filter", 500.0)], joins=[("workers1", 100.0)])
-    failures = bench.check_regressions(current, baseline, tolerance=2.0)
-    assert len(failures) == 2
-
-
-def test_backend_speedup_pairs_ratio():
-    kernels = {
-        "frequency_batch_python": {"ns_per_op": 300.0},
-        "frequency_batch_numpy": {"ns_per_op": 100.0},
-        "cdf_dp_uncertain": {"ns_per_op": 800.0},
-        "cdf_dp_uncertain_native": {"ns_per_op": 100.0},
-    }
-    assert bench.backend_speedups(kernels) == {
-        "frequency_filter:numpy": 3.0,
-        "cdf_dp_uncertain:native": 8.0,
-    }
-
-
-def test_gate_fails_when_native_is_slower_than_python():
-    # Baseline-free invariant: a built native backend must not lose to
-    # the interpreter on the CDF kernels.
-    current = _doc(
-        kernels=[("cdf_dp_uncertain", 100.0), ("cdf_dp_uncertain_native", 150.0)]
-    )
-    baseline = _doc(
-        kernels=[("cdf_dp_uncertain", 100.0), ("cdf_dp_uncertain_native", 150.0)]
-    )
-    failures = bench.check_regressions(current, baseline)
-    assert any(
-        "cdf_dp_uncertain_native" in f and "slower than the python" in f
-        for f in failures
-    )
-    faster = _doc(
-        kernels=[("cdf_dp_uncertain", 100.0), ("cdf_dp_uncertain_native", 20.0)]
-    )
-    assert bench.check_regressions(faster, faster) == []
-
-
-def test_gate_tolerates_skipped_optional_joins():
-    baseline = _doc(joins=[("workers1", 1000.0), ("workers1_native", 3000.0)])
-    current = _doc(joins=[("workers1", 1000.0)])
-    current["skipped_joins"] = ["workers1_native"]
-    assert bench.check_regressions(current, baseline) == []
-    # ... but an unexplained disappearance still fails.
-    gone = _doc(joins=[("workers1", 1000.0)])
-    failures = bench.check_regressions(gone, baseline)
-    assert any("workers1_native" in f and "missing" in f for f in failures)
+    # "numpy" names the retired vectorized backend: it is as unknown
+    # as any other name now.
+    for name in ("fortran", "numpy"):
+        with pytest.raises(ConfigurationError) as excinfo:
+            JoinConfig.for_algorithm("QFCT", k=1, tau=0.1, backend=name)
+        message = str(excinfo.value)
+        assert repr(name) in message
+        for backend in BACKEND_NAMES:
+            assert backend in message

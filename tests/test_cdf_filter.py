@@ -8,7 +8,17 @@ from hypothesis import strategies as st
 
 from repro.distance.probability import edit_similarity_probability
 from repro.filters.base import FilterVerdict
-from repro.filters.cdf import CdfBoundFilter, cdf_bounds
+from repro.filters.cdf import (
+    _BOUNDARY_CACHE,
+    _BOUNDARY_CACHE_MAX,
+    _ZERO_CACHE,
+    _ZERO_CACHE_MAX,
+    CdfBoundFilter,
+    _boundary_cell,
+    _zero_cell,
+    cdf_bounds,
+    clear_cdf_caches,
+)
 from repro.uncertain.parser import parse_uncertain
 from repro.uncertain.string import UncertainString
 
@@ -149,3 +159,30 @@ class TestKernelCaches:
         a = UncertainString.from_text("ACGT")
         b = UncertainString.from_text("ACGA")
         assert cdf_bounds(a, b, 2) is _boundary_cell(1, 2)
+
+    def test_boundary_cache_is_bounded(self):
+        clear_cdf_caches()
+        try:
+            for distance in range(_BOUNDARY_CACHE_MAX + 300):
+                _boundary_cell(distance, 2)
+            assert len(_BOUNDARY_CACHE) == _BOUNDARY_CACHE_MAX
+            for k in range(_ZERO_CACHE_MAX + 20):
+                _zero_cell(k)
+            assert len(_ZERO_CACHE) == _ZERO_CACHE_MAX
+        finally:
+            clear_cdf_caches()
+
+    def test_boundary_cache_eviction_is_lru(self):
+        clear_cdf_caches()
+        try:
+            first = _boundary_cell(0, 1)
+            for distance in range(1, _BOUNDARY_CACHE_MAX):
+                _boundary_cell(distance, 1)
+            # Touch the oldest entry, then overflow: the second-oldest is
+            # the one evicted, the touched entry survives.
+            assert _boundary_cell(0, 1) is first
+            _boundary_cell(_BOUNDARY_CACHE_MAX, 1)
+            assert (0, 1) in _BOUNDARY_CACHE
+            assert (1, 1) not in _BOUNDARY_CACHE
+        finally:
+            clear_cdf_caches()

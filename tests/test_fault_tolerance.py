@@ -156,6 +156,32 @@ class TestRetryPolicy:
         p = RetryPolicy(backoff=0.1, backoff_factor=2.0)
         assert [p.delay(a) for a in range(3)] == [0.1, 0.2, 0.4]
 
+    def test_retry_default_timing_is_unchanged(self):
+        p = RetryPolicy(backoff=0.05, backoff_factor=2.0)
+        assert p.delay(0) == 0.05
+        assert p.delay(1) == 0.05 * 2.0
+        assert p.delay(3, band_index=7) == 0.05 * 2.0**3
+
+    def test_retry_jitter_is_deterministic_and_desynchronizes_bands(self):
+        p = RetryPolicy(backoff=0.05, jitter=0.5, jitter_seed=11)
+        again = RetryPolicy(backoff=0.05, jitter=0.5, jitter_seed=11)
+        assert p.delay(1, band_index=3) == again.delay(1, band_index=3)
+        delays = {p.delay(1, band_index=band) for band in range(8)}
+        assert len(delays) == 8  # no two bands back off in lockstep
+        base = RetryPolicy(backoff=0.05).delay(1)
+        for value in delays:
+            assert base <= value <= base * 1.5
+        reseeded = RetryPolicy(backoff=0.05, jitter=0.5, jitter_seed=12)
+        assert reseeded.delay(1, band_index=3) != p.delay(1, band_index=3)
+
+    def test_retry_jitter_fraction_range_and_validation(self):
+        p = RetryPolicy(jitter=1.0)
+        for band in range(4):
+            for attempt in range(4):
+                assert 0.0 <= p.jitter_fraction(band, attempt) < 1.0
+        with pytest.raises(ConfigurationError):
+            RetryPolicy(jitter=-0.1)
+
 
 # ----------------------------------------------------------------------
 # run_bands unit tests (toy band task, in-process)

@@ -1,7 +1,7 @@
 """Native (compiled C) backend parity + optionality tests (ISSUE 10).
 
 The ``native`` backend must be **bit-for-bit** identical to the pinned
-pure-python reference: same bound tuples from the scalar and batch
+pure-python reference: same bound tuples from the scalar
 kernels under hypothesis sweeps and knife-edge constructions, the same
 byte-identical golden driver output across the full config grid, and
 identical pipeline counters through the engine. Alongside the parity
@@ -34,13 +34,9 @@ from repro.core.config import ConfigurationError, JoinConfig
 from repro.core.context import StringFeatures
 from repro.core.join import similarity_join
 from repro.distance.edit import edit_distance_banded
-from repro.filters import _native, batch_numpy
-from repro.filters.cdf import cdf_bounds, cdf_bounds_batch
-from repro.filters.frequency import (
-    FrequencyProfile,
-    frequency_bounds,
-    frequency_bounds_batch,
-)
+from repro.filters import _native
+from repro.filters.cdf import cdf_bounds
+from repro.filters.frequency import FrequencyProfile, frequency_bounds
 from repro.uncertain.position import UncertainPosition
 from repro.uncertain.string import UncertainString
 
@@ -48,7 +44,6 @@ from tests import equivalence_spec as spec
 from tests.helpers import random_collection, random_uncertain, uncertain_strings
 
 HAS_NATIVE = _native.native_available()
-HAS_NUMPY = batch_numpy.numpy_available()
 needs_native = pytest.mark.skipif(
     HAS_NATIVE is False, reason="native extension not built"
 )
@@ -65,6 +60,12 @@ def _hexify(bounds):
         tuple(value.hex() for value in lower),
         tuple(value.hex() for value in upper),
     )
+
+
+def _hex_frequency(bounds):
+    """Frequency bounds with the (optional) upper bound as a hex string."""
+    lower_fd, upper = bounds
+    return lower_fd, None if upper is None else upper.hex()
 
 
 # ----------------------------------------------------------------------
@@ -113,24 +114,18 @@ def test_dense_random_sweep_parity():
         left = random_uncertain(
             rng, rng.randint(0, 9), theta=rng.choice((0.0, 0.4, 1.0))
         )
-        block = [
-            random_uncertain(
+        left_profile = FrequencyProfile(left)
+        for _ in range(rng.randint(1, 5)):
+            right = random_uncertain(
                 rng, rng.randint(0, 9), theta=rng.choice((0.0, 0.4, 0.8))
             )
-            for _ in range(rng.randint(1, 5))
-        ]
-        assert [
-            _hexify(b) for b in _native.cdf_bounds_batch_native(left, block, k)
-        ] == [_hexify(b) for b in cdf_bounds_batch(left, block, k)]
-        left_profile = FrequencyProfile(left)
-        profiles = [FrequencyProfile(right) for right in block]
-        native_rows = _native.frequency_bounds_batch_native(
-            left_profile, profiles, k
-        )
-        reference_rows = frequency_bounds_batch(left_profile, profiles, k)
-        assert [(fd, up.hex()) for fd, up in native_rows] == [
-            (fd, up.hex()) for fd, up in reference_rows
-        ]
+            assert _hexify(_native.cdf_bounds_native(left, right, k)) == (
+                _hexify(cdf_bounds(left, right, k))
+            )
+            right_profile = FrequencyProfile(right)
+            assert _hex_frequency(
+                _native.frequency_bounds_native(left_profile, right_profile, k)
+            ) == _hex_frequency(frequency_bounds(left_profile, right_profile, k))
 
 
 @needs_native
@@ -224,17 +219,13 @@ def test_knife_edge_bounds_agree_across_backends(k):
         for backend in backends:
             got = (
                 _hexify(backend.cdf_bounds(left, right, k)),
-                [
-                    _hexify(b)
-                    for b in backend.cdf_bounds_batch(left, [right, left], k)
-                ],
-                backend.frequency_bounds(left_profile, right_profile, k),
-                [
-                    (fd, up.hex())
-                    for fd, up in backend.frequency_bounds_batch(
-                        left_profile, [right_profile, left_profile], k
-                    )
-                ],
+                _hexify(backend.cdf_bounds(left, left, k)),
+                _hex_frequency(
+                    backend.frequency_bounds(left_profile, right_profile, k)
+                ),
+                _hex_frequency(
+                    backend.frequency_bounds(left_profile, left_profile, k)
+                ),
             )
             if reference is None:
                 reference = got
@@ -379,7 +370,6 @@ def test_backend_availability_attributes_every_backend():
 def test_native_backend_resolves_when_available():
     backend = resolve_backend("native")
     assert isinstance(backend, NativeBackend)
-    assert backend.supports_batch
     assert "native" in available_backends()
 
 
@@ -402,29 +392,16 @@ def test_native_disable_env_is_dynamic(monkeypatch):
     assert reason is None or "REPRO_NATIVE_DISABLE" not in reason
 
 
-def test_resolve_backend_errors_enumerate_availability(monkeypatch):
-    """Unknown and unavailable backends both name what IS usable here
-    and why the missing ones are missing."""
+def test_resolve_backend_errors_enumerate_availability():
+    """An unknown backend names what IS usable here and why the missing
+    ones are missing (the unavailable-native message is pinned by
+    ``test_native_disable_env_is_dynamic``)."""
     with pytest.raises(ConfigurationError) as excinfo:
         resolve_backend("cupy")
     message = str(excinfo.value)
     assert "python" in message
     for name in BACKEND_NAMES:
         assert name in message
-
-    monkeypatch.setattr(batch_numpy, "_np", None)
-
-    class _NoImports:
-        @staticmethod
-        def import_module(name):
-            raise ImportError(f"No module named {name!r}")
-
-    monkeypatch.setattr(batch_numpy, "importlib", _NoImports)
-    with pytest.raises(ConfigurationError) as excinfo:
-        resolve_backend("numpy")
-    message = str(excinfo.value)
-    assert "numpy is not installed" in message
-    assert "python" in message
 
 
 def test_cli_accepts_native_backend_choice(capsys):

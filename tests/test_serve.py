@@ -272,6 +272,13 @@ class TestProtocol:
             parse_request("topk", b'{"query": "a", "count": true}')
         with pytest.raises(ConfigurationError):
             parse_request("mini-join", b'{"strings": []}')
+        # json.loads accepts these literals; none may pass validation
+        # (a NaN timeout would never expire and escape the server cap).
+        for field in ("timeout", "tau"):
+            for literal in ("NaN", "Infinity", "-Infinity", "1e400", "9" * 400):
+                body = f'{{"query": "abc", "{field}": {literal}}}'.encode()
+                with pytest.raises(ConfigurationError, match="finite"):
+                    parse_request("search", body)
 
     def test_status_map_is_closed_and_sane(self):
         assert ERROR_STATUS["overloaded"] == 503
@@ -324,6 +331,11 @@ class TestHTTP:
             status, body, _ = _post(host, port, "/nope", {"query": "x"})
             assert status == 404
             status, body, _ = _post(host, port, "/search", {"bogus": 1})
+            assert status == 400
+            assert json.loads(body)["error"]["type"] == "bad_request"
+            status, body, _ = _post(
+                host, port, "/search", {"query": "abc", "timeout": float("nan")}
+            )
             assert status == 400
             assert json.loads(body)["error"]["type"] == "bad_request"
             connection = http.client.HTTPConnection(host, port, timeout=10.0)
