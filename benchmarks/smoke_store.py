@@ -32,10 +32,10 @@ sys.path.insert(0, str(REPO_ROOT))
 
 from repro.core.config import JoinConfig  # noqa: E402
 from repro.core.merge import merge_run  # noqa: E402
+from repro.core.parallel import parallel_similarity_join  # noqa: E402
 from repro.store import (  # noqa: E402
     SqliteStore,
     build_sqlite_store,
-    parallel_store_join,
     store_similarity_join,
 )
 
@@ -72,11 +72,12 @@ def golden_in_process(tmp: Path) -> None:
     run_dir = tmp / "golden-run"
     sharded = replace(config, workers=2, checkpoint_dir=str(run_dir))
     for i in range(SHARDS):
-        parallel_store_join(
-            store,
+        parallel_similarity_join(
+            None,
             replace(sharded, shard=f"{i}/{SHARDS}"),
             use_processes=False,
             min_parallel=0,
+            store=store,
         )
     merged = merge_run(run_dir)
     check(

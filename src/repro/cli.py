@@ -389,18 +389,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fault_spec=args.inject_faults,
         )
         if args.store is not None:
-            if args.index_snapshot is not None:
-                print(
-                    "serve: --store and --index-snapshot are mutually "
-                    "exclusive (the store is the index)",
-                    file=sys.stderr,
-                )
-                return 2
             service = JoinService.from_store(args.store, config, options)
         else:
-            service = JoinService.from_files(
-                args.collection, config, options, index_path=args.index_snapshot
-            )
+            service = JoinService.from_files(args.collection, config, options)
     except (ReproError, OSError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
@@ -655,14 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="crash-only shutdown: wait this long for in-flight requests, "
         "then abandon them (default 5)",
-    )
-    serve.add_argument(
-        "--index-snapshot",
-        default=None,
-        metavar="PATH",
-        help="preload the segment index from a snapshot saved by "
-        "repro.index.persistence instead of rebuilding it (validated "
-        "against the serving config and collection first)",
     )
     serve.add_argument(
         "--inject-faults",

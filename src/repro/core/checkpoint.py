@@ -288,11 +288,6 @@ class ShardCheckpointStore(CheckpointStore):
     def band_path(self, band_index: int) -> Path:
         return self.shard_dir / f"band-{band_index:05d}.ckpt"
 
-    def index_snapshot_path(self, band_index: int) -> Path:
-        """Where this shard persists band ``band_index``'s segment-index
-        snapshot (see :mod:`repro.index.persistence`)."""
-        return self.shard_dir / f"index-band-{band_index:05d}.json"
-
     def completed_bands(self) -> list[int]:
         indices: list[int] = []
         for path in self.shard_dir.glob("band-*.ckpt"):

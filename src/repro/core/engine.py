@@ -93,36 +93,17 @@ class SegmentIndexSource:
     upper bounds for the chain to reuse.
     """
 
-    def __init__(
-        self,
-        config: JoinConfig,
-        index: SegmentInvertedIndex | None = None,
-    ) -> None:
+    def __init__(self, config: JoinConfig) -> None:
         self._k = config.k
-        # A preloaded ``index`` (a per-shard snapshot from
-        # repro.index.persistence) skips per-string segmentation: `add`
-        # still rebuilds the rank↔id and length bookkeeping — which
-        # requires the caller to replay the exact insertion order the
-        # snapshot was built under — but no postings are re-derived.
-        self._preloaded = index is not None
-        self._index = (
-            index
-            if index is not None
-            else SegmentInvertedIndex(
-                k=config.k,
-                q=config.q,
-                selection=config.selection,
-                group_mode=config.group_mode,
-                bound_mode=config.bound_mode,
-            )
+        self._index = SegmentInvertedIndex(
+            k=config.k,
+            q=config.q,
+            selection=config.selection,
+            group_mode=config.group_mode,
+            bound_mode=config.bound_mode,
         )
         self._rank_to_id: list[int] = []
         self._count_by_length: dict[int, int] = {}
-
-    @property
-    def index(self) -> SegmentInvertedIndex:
-        """The wrapped index (size reporting, persistence)."""
-        return self._index
 
     def __len__(self) -> int:
         return len(self._rank_to_id)
@@ -131,9 +112,8 @@ class SegmentIndexSource:
         self, string_id: int, string: UncertainString, stats: JoinStatistics
     ) -> None:
         rank = len(self._rank_to_id)
-        if not self._preloaded:
-            with stats.timer("index"):
-                self._index.add(rank, string)
+        with stats.timer("index"):
+            self._index.add(rank, string)
         self._rank_to_id.append(string_id)
         length = len(string)
         self._count_by_length[length] = self._count_by_length.get(length, 0) + 1
@@ -200,27 +180,15 @@ class LengthBandSource:
         return [(self._rank_to_id[rank], None) for rank in ranks]
 
 
-def make_source(
-    config: JoinConfig,
-    index: SegmentInvertedIndex | None = None,
-    store: Any = None,
-) -> CandidateSource:
+def make_source(config: JoinConfig, store: Any = None) -> CandidateSource:
     """The candidate source ``config``'s filter stack calls for.
 
-    ``index`` hands a :class:`SegmentIndexSource` a preloaded segment
-    index (a persisted snapshot) instead of building one per string; it
-    is only meaningful for q-gram configs and must be ``None`` for
-    filter stacks without **Q**. ``store`` (an
-    :class:`~repro.store.base.IndexStore`) routes q-gram candidate
-    generation through the store's prebuilt postings instead — the two
-    are mutually exclusive. Non-q-gram stacks never read postings, so
-    under ``store`` they still get the plain length filter.
+    ``store`` (an :class:`~repro.store.base.IndexStore`) routes q-gram
+    candidate generation through the store's prebuilt postings instead
+    of a per-string :class:`SegmentIndexSource`. Non-q-gram stacks
+    never read postings, so under ``store`` they still get the plain
+    length filter.
     """
-    if index is not None and store is not None:
-        raise ConfigurationError(
-            "a preloaded segment index and an index store are mutually "
-            "exclusive candidate-generation backends"
-        )
     if store is not None:
         if config.uses_qgram:
             from repro.store.source import StoreIndexSource
@@ -229,12 +197,7 @@ def make_source(
         store.meta.check_compatible(config)
         return LengthBandSource(config.k)
     if config.uses_qgram:
-        return SegmentIndexSource(config, index=index)
-    if index is not None:
-        raise ConfigurationError(
-            "a preloaded segment index requires the qgram filter "
-            f"(filters={config.filters!r} has no use for it)"
-        )
+        return SegmentIndexSource(config)
     return LengthBandSource(config.k)
 
 
@@ -268,19 +231,12 @@ class JoinEngine:
         certainty fast-path data), for engines that outlive one run
         over the same indexed strings — or parallel band engines
         reusing the parent process's finished features.
-    index:
-        Preloaded segment index (a per-shard snapshot from
-        :mod:`repro.index.persistence`) for q-gram configs; the caller
-        must then :meth:`add` the same strings in the same order the
-        snapshot was built under, which rebuilds the id bookkeeping
-        without re-segmenting any string.
     store:
         An :class:`~repro.store.base.IndexStore`: candidate generation
         reads the store's prebuilt postings, and candidate strings are
         hydrated on demand through a bounded LRU instead of being held
         in a dict — peak RSS tracks the cache, not the collection.
-        Mutually exclusive with ``index``; adds must replay the store's
-        (length, id) visit order.
+        Adds must replay the store's (length, id) visit order.
     store_cache:
         The hydration cache to use with ``store`` (a
         :class:`~repro.store.source.StoreStringCache`); by default one
@@ -296,14 +252,13 @@ class JoinEngine:
         tau: TauProvider | None = None,
         force_exact: bool = False,
         context: CollectionContext | None = None,
-        index: "SegmentInvertedIndex | None" = None,
         store: Any = None,
         store_cache: Any = None,
     ) -> None:
         self.config = config
         self.stats = stats if stats is not None else JoinStatistics()
         self.tau: TauProvider = tau if tau is not None else (lambda: config.tau)
-        self.source = make_source(config, index=index, store=store)
+        self.source = make_source(config, store=store)
         self.chain = StageChain(config, force_exact=force_exact, context=context)
         self._strings: StringLookup
         if store is not None:

@@ -62,9 +62,10 @@ def probe_join(
     """Probe a prebuilt searcher with every left string — the R×S core.
 
     Split out of :func:`similarity_join_two` so callers that construct
-    the searcher themselves (the sharded band task reloading a
-    persisted per-band index snapshot) run the *same* probe loop and
-    stats recording, keeping results byte-identical to the plain path.
+    the searcher themselves (the parallel band task, which indexes one
+    right band under a shared feature context) run the *same* probe
+    loop and stats recording, keeping results byte-identical to the
+    plain path.
     """
     totals = JoinStatistics(total_strings=total_strings)
     pairs: list[JoinPair] = []

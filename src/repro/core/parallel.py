@@ -39,20 +39,20 @@ import hashlib
 import itertools
 import multiprocessing
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.checkpoint import CheckpointStore, ShardCheckpointStore
 from repro.core.config import JoinConfig
 from repro.core.context import CollectionContext
 from repro.core.dispatch import resolve_execution_backend, shard_slice
-from repro.core.engine import SegmentIndexSource
+from repro.core.errors import ConfigurationError
 from repro.core.executor import RetryPolicy
 from repro.core.join import similarity_join
 from repro.core.join_two import probe_join, similarity_join_two
 from repro.core.results import JoinOutcome, JoinPair
 from repro.core.search import SimilaritySearcher
 from repro.core.stats import JoinStatistics
-from repro.index.persistence import load_shard_index, save_shard_index
 from repro.uncertain.parser import format_uncertain
 from repro.uncertain.string import UncertainString
 from repro.util.faults import FaultPlan
@@ -260,66 +260,22 @@ def _self_join_band(
     return band_index, kept, outcome.stats
 
 
-#: Optional 6th element of a two-join payload: where this band's index
-#: snapshot lives, plus the identity it must carry to be reusable.
-SnapshotMeta = tuple[str, str, int, int]
-
-
 def _two_join_band(
-    payload: "tuple[int, int, tuple[int, ...], tuple[int, ...], JoinConfig] | tuple[int, int, tuple[int, ...], tuple[int, ...], JoinConfig, SnapshotMeta]",
+    payload: tuple[int, int, tuple[int, ...], tuple[int, ...], JoinConfig],
 ) -> tuple[int, list[JoinPair], JoinStatistics]:
     """R×S band task: probe the owned right band with eligible left strings.
 
     Left strings probe as transient queries (their features stay
     probe-local), so only the indexed right band takes a feature
     subcontext from the shared state.
-
-    Sharded runs append a :data:`SnapshotMeta` element
-    ``(path, fingerprint, shard_index, shard_count)``: the band reloads
-    its persisted segment index from ``path`` when a snapshot of
-    exactly this join/shard/band exists (skipping re-segmentation on
-    resume) and persists one after building otherwise. Non-shard
-    payloads keep the historical 5-tuple shape.
     """
-    band_index, token, left_ids, right_ids, config = payload[:5]
-    snapshot: SnapshotMeta | None = payload[5] if len(payload) > 5 else None
+    band_index, token, left_ids, right_ids, config = payload
     (left, right), (right_context,) = _shared_state(token)
     left_strings = [left[left_id] for left_id in left_ids]
     right_strings = [right[right_id] for right_id in right_ids]
-    index = None
-    if snapshot is not None and config.uses_qgram:
-        path, fingerprint, shard_index, shard_count = snapshot
-        try:
-            index = load_shard_index(
-                path,
-                fingerprint=fingerprint,
-                shard_index=shard_index,
-                shard_count=shard_count,
-                band=band_index,
-            )
-        except FileNotFoundError:
-            index = None
     searcher = SimilaritySearcher(
-        right_strings,
-        config,
-        context=right_context.subcontext(right_ids),
-        index=index,
+        right_strings, config, context=right_context.subcontext(right_ids)
     )
-    if (
-        snapshot is not None
-        and config.uses_qgram
-        and index is None
-        and isinstance(searcher.engine.source, SegmentIndexSource)
-    ):
-        path, fingerprint, shard_index, shard_count = snapshot
-        save_shard_index(
-            searcher.engine.source.index,
-            path,
-            fingerprint=fingerprint,
-            shard_index=shard_index,
-            shard_count=shard_count,
-            band=band_index,
-        )
     outcome = probe_join(
         searcher, left_strings, len(left_strings) + len(right_strings)
     )
@@ -339,15 +295,15 @@ def _join_fingerprint(
     kind: str,
     config: JoinConfig,
     bands: Sequence[LengthBand],
-    *collections: Sequence[UncertainString],
+    content: Iterable[bytes],
 ) -> str:
     """Digest identifying one join run for checkpoint compatibility.
 
-    Covers the input collections (exact distributions), every
-    result-affecting config knob, and the band plan — resuming with a
-    different ``--workers`` (hence a different plan) must be rejected.
-    Runtime-only knobs (retries, timeouts, fault injection) are
-    deliberately excluded: they cannot change the output.
+    Covers the input ``content``, every result-affecting config knob,
+    and the band plan — resuming with a different ``--workers`` (hence
+    a different plan) must be rejected. Runtime-only knobs (retries,
+    timeouts, fault injection) are deliberately excluded: they cannot
+    change the output.
     """
     digest = hashlib.sha256()
     digest.update(kind.encode("utf-8"))
@@ -366,12 +322,21 @@ def _join_fingerprint(
     digest.update(repr(knobs).encode("utf-8"))
     plan = [(band.low, band.high, band.member_ids) for band in bands]
     digest.update(repr(plan).encode("utf-8"))
+    for chunk in content:
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _collection_content(
+    *collections: Sequence[UncertainString],
+) -> Iterator[bytes]:
+    """Fingerprint content of in-memory inputs: the exact distributions
+    (every string at 17 significant digits), one collection after the
+    other. Lazy, so a run without checkpointing never serializes."""
     for collection in collections:
         for string in collection:
-            digest.update(format_uncertain(string, precision=17).encode("utf-8"))
-            digest.update(b"\n")
-        digest.update(b"\x00")
-    return digest.hexdigest()
+            yield format_uncertain(string, precision=17).encode("utf-8") + b"\n"
+        yield b"\x00"
 
 
 def _resilience(
@@ -394,39 +359,31 @@ def _resilience(
 
 def _open_checkpoint(
     run_dir: "str | None",
-    fingerprint_args: tuple,
+    fingerprint: Callable[[], str],
     bands: Sequence[LengthBand],
-    shard: "tuple[int, int] | None" = None,
-    strings: int = 0,
-    fingerprint: "str | None" = None,
-) -> "tuple[CheckpointStore | None, str | None]":
-    """Open the run's checkpoint store; returns ``(store, fingerprint)``.
+    shard: "tuple[int, int] | None",
+    strings: int,
+) -> "CheckpointStore | None":
+    """Open the run's checkpoint store (``None`` without a run dir).
 
     Flat layout for plain checkpointed runs; partitioned
     (:class:`ShardCheckpointStore`) when ``shard`` coordinates are
     given — then the shared ``run.json`` additionally pins the shard
     count and input size, and this shard's manifest records exactly the
-    band indices it owns. A precomputed ``fingerprint`` skips the
-    collection hash — the store-backed driver substitutes a digest the
-    store already carries, so opening a checkpoint never hydrates the
-    collection.
+    band indices it owns. ``fingerprint`` is only called when there is
+    a run directory to check it against.
     """
     if run_dir is None:
-        return None, None
-    if fingerprint is None:
-        kind, config, collections = fingerprint_args
-        fingerprint = _join_fingerprint(kind, config, bands, *collections)
+        return None
     if shard is None:
-        store: CheckpointStore = CheckpointStore(run_dir)
-        store.open(fingerprint, len(bands), strings=strings)
-        return store, fingerprint
+        store = CheckpointStore(run_dir)
+        store.open(fingerprint(), len(bands), strings=strings)
+        return store
     shard_index, shard_count = shard
     shard_store = ShardCheckpointStore(run_dir, shard_index, shard_count)
     owned = list(shard_slice(len(bands), shard_index, shard_count))
-    shard_store.open_shard(
-        fingerprint, len(bands), owned, strings=strings
-    )
-    return shard_store, fingerprint
+    shard_store.open_shard(fingerprint(), len(bands), owned, strings=strings)
+    return shard_store
 
 
 def _resolve_mp_context(config: JoinConfig, mp_context: Any) -> Any:
@@ -441,8 +398,75 @@ def _resolve_mp_context(config: JoinConfig, mp_context: Any) -> Any:
 # ----------------------------------------------------------------------
 
 
-def parallel_similarity_join(
+def _publish_collection(
     collection: Sequence[UncertainString],
+    config: JoinConfig,
+    shard: "tuple[int, int] | None",
+    bands: Sequence[LengthBand],
+    stats: JoinStatistics,
+) -> tuple[Any, CollectionContext]:
+    """What an in-memory self-join publishes to its band tasks: the
+    strings and their features, computed once here in the parent.
+
+    A shard publishes only what its bands can touch (owned + halo), so
+    its memory footprint tracks the shard, not the whole collection.
+    Band tasks index the shared strings by global id, so a dict keyed
+    by the needed ids is a drop-in.
+    """
+    if shard is None:
+        shared: Any = tuple(collection)
+        with stats.timer("features"):
+            context = CollectionContext.for_collection(
+                shared, build_profiles=config.uses_frequency
+            )
+        return shared, context
+    needed = sorted(
+        {
+            string_id
+            for band_position in shard_slice(len(bands), *shard)
+            for string_id in bands[band_position].member_ids
+        }
+    )
+    with stats.timer("features"):
+        context = CollectionContext.for_ids(
+            collection, needed, build_profiles=config.uses_frequency
+        )
+    return {string_id: collection[string_id] for string_id in needed}, context
+
+
+def _publish_store(
+    store: Any, bands: Sequence[LengthBand], stats: JoinStatistics
+) -> tuple[Any, CollectionContext]:
+    """What a store-backed self-join publishes: one shared store for
+    every band, worker, and shard, whatever the plan. The collection
+    pickles as the store path, and band tasks bulk-hydrate their
+    members through :meth:`~repro.store.source.StoreCollection.take`.
+    Features are built in-band (band-sized), so the published context
+    stays empty and nothing is timed here.
+    """
+    from repro.store.source import StoreCollection
+
+    return StoreCollection(store), CollectionContext()
+
+
+def _fold_bands(
+    results: Iterable[tuple[int, list[JoinPair], JoinStatistics]],
+    stats: JoinStatistics,
+) -> JoinOutcome:
+    """Merge band results into one sorted outcome."""
+    pairs: list[JoinPair] = []
+    for _, band_pairs, band_stats in results:
+        pairs.extend(band_pairs)
+        # Aggregate band CPU time under its own stage; wall clock is ours.
+        stats.timer("bands").add(band_stats.seconds("total"))
+        stats.merge(band_stats)
+    pairs.sort()
+    stats.result_pairs = len(pairs)
+    return JoinOutcome(pairs=pairs, stats=stats)
+
+
+def parallel_similarity_join(
+    collection: "Sequence[UncertainString] | None",
     config: JoinConfig,
     use_processes: bool = True,
     min_parallel: int = MIN_PARALLEL_STRINGS,
@@ -451,6 +475,7 @@ def parallel_similarity_join(
     faults: FaultPlan | None = None,
     run_dir: str | None = None,
     mp_context: Any = None,
+    store: Any = None,
 ) -> JoinOutcome:
     """Length-banded parallel self-join under the fault-tolerant executor.
 
@@ -460,6 +485,17 @@ def parallel_similarity_join(
     including probabilities — is identical to
     :func:`repro.core.join.similarity_join` on every input, with or
     without injected faults, retries, or a resumed checkpoint.
+
+    The input is exactly one of ``collection`` and ``store`` (an
+    :class:`~repro.store.base.IndexStore`; pass ``collection=None``).
+    An in-memory collection's per-string features (frequency profiles,
+    support alphabets, certainty fast-path data) are computed once here
+    in the parent and published to every worker as process-shared
+    state; a store is published as its path, and each band hydrates and
+    featurizes just its members. Either way band payloads ship only id
+    lists and the config, so no string or profile is pickled per band.
+    Store runs plan from the store's length bookkeeping and fingerprint
+    the store's content digest, so neither hydrates the collection.
 
     ``policy``/``faults``/``run_dir`` override the corresponding
     ``config`` fields (``retries``/``band_timeout``, ``fault_spec``,
@@ -474,12 +510,6 @@ def parallel_similarity_join(
     serial driver directly unless checkpointing is on. ``mp_context``
     selects the multiprocessing start method (``None`` = platform
     default); results are identical under fork and spawn.
-
-    Per-string features (frequency profiles, support alphabets,
-    certainty fast-path data) are computed once here in the parent and
-    published to every worker as process-shared state — band payloads
-    ship only id lists and the config, so no string or profile is
-    pickled per band.
 
     With ``config.shard = "i/N"`` the run executes only shard ``i``'s
     contiguous slice of an ``N × workers``-band plan
@@ -501,63 +531,66 @@ def parallel_similarity_join(
     mp_context = _resolve_mp_context(config, mp_context)
     shard = config.shard_coordinates
     checkpointing = run_dir is not None
+    # Everything that depends on the kind of input is settled here; the
+    # plan, checkpoint, executor and fold below are shared.
+    if (collection is None) == (store is None):
+        raise ConfigurationError(
+            "parallel_similarity_join needs exactly one of collection or store"
+        )
+    serial: Callable[[], JoinOutcome]
+    publish: Callable[
+        [Sequence[LengthBand], JoinStatistics], tuple[Any, CollectionContext]
+    ]
+    content: Iterable[bytes]
+    if store is not None:
+        from repro.store.driver import _serial_store_join
+
+        store.meta.check_compatible(config)
+        lengths = [0] * len(store)
+        for string_id, length in zip(
+            store.ids_in_visit_order(), store.lengths_in_visit_order()
+        ):
+            lengths[string_id] = length
+        serial = partial(_serial_store_join, store, serial_config)
+        publish = partial(_publish_store, store)
+        # The store's digest already hashes the exact serialized
+        # strings. The ``store:`` prefix keeps store and in-memory
+        # checkpoints from resuming each other: same output, different
+        # provenance.
+        kind = "store:self"
+        content = (store.meta.digest.encode("utf-8"),)
+    else:
+        assert collection is not None
+        lengths = [len(string) for string in collection]
+        serial = partial(similarity_join, collection, serial_config)
+        publish = partial(_publish_collection, collection, config, shard)
+        kind = "self"
+        content = _collection_content(collection)
+
     if not checkpointing and (
-        config.workers <= 1 or len(collection) < min_parallel
+        config.workers <= 1 or len(lengths) < min_parallel
     ):
-        return similarity_join(collection, serial_config)
-    lengths = [len(string) for string in collection]
+        return serial()
     # Every shard plans the full run: `workers` bands per shard, so the
     # plan (and the fingerprint over it) is a function of (input, k,
     # workers, N) that all N invocations and the merge agree on.
     plan_workers = config.workers * (shard[1] if shard is not None else 1)
     bands = plan_length_bands(lengths, plan_workers, config.k)
-    if len(bands) <= 1 and not checkpointing:
-        return similarity_join(collection, serial_config)
-    if not bands:
-        return similarity_join(collection, serial_config)
+    if not bands or (len(bands) <= 1 and not checkpointing):
+        return serial()
 
-    checkpoint, _ = _open_checkpoint(
+    checkpoint = _open_checkpoint(
         run_dir,
-        ("self", config, (collection,)),
+        lambda: _join_fingerprint(kind, config, bands, content),
         bands,
-        shard=shard,
-        strings=len(collection),
+        shard,
+        strings=len(lengths),
     )
-    stats = JoinStatistics(total_strings=len(collection))
+    stats = JoinStatistics(total_strings=len(lengths))
     total_timer = stats.timer("total").start()
     token = next(_TOKENS)
-    shared_collection: Any = tuple(collection)
-    feature_ids: "Sequence[int] | None" = None
-    if shard is not None:
-        # Publish only what this shard's bands can touch (owned + halo):
-        # the per-shard memory footprint tracks the shard, not the
-        # whole collection. Band tasks index the shared store by global
-        # id, so a dict keyed by the needed ids is a drop-in.
-        owned_bands = shard_slice(len(bands), *shard)
-        needed = sorted(
-            {
-                string_id
-                for band_position in owned_bands
-                for string_id in bands[band_position].member_ids
-            }
-        )
-        shared_collection = {
-            string_id: collection[string_id] for string_id in needed
-        }
-        feature_ids = needed
-    with stats.timer("features"):
-        context = (
-            CollectionContext.for_collection(
-                shared_collection, build_profiles=config.uses_frequency
-            )
-            if feature_ids is None
-            else CollectionContext.for_ids(
-                collection, feature_ids, build_profiles=config.uses_frequency
-            )
-        )
-    pool_kwargs = _pool_publication(
-        token, (shared_collection,), (context,), mp_context
-    )
+    shared, context = publish(bands, stats)
+    pool_kwargs = _pool_publication(token, (shared,), (context,), mp_context)
     payloads = [
         (
             band.index,
@@ -577,17 +610,9 @@ def parallel_similarity_join(
         checkpoint=checkpoint,
         **pool_kwargs,
     )
-
-    pairs: list[JoinPair] = []
-    for _, band_pairs, band_stats in results:
-        pairs.extend(band_pairs)
-        # Aggregate band CPU time under its own stage; wall clock is ours.
-        stats.timer("bands").add(band_stats.seconds("total"))
-        stats.merge(band_stats)
-    pairs.sort()
-    stats.result_pairs = len(pairs)
+    outcome = _fold_bands(results, stats)
     total_timer.stop()
-    return JoinOutcome(pairs=pairs, stats=stats)
+    return outcome
 
 
 def parallel_similarity_join_two(
@@ -613,10 +638,7 @@ def parallel_similarity_join_two(
     knobs, sharding, and worker-state publication behave exactly as in
     :func:`parallel_similarity_join`; only the right collection gets a
     shared feature context (left strings probe as transient queries).
-    Sharded q-gram runs additionally persist each owned band's segment
-    index (``shard-i/index-band-NNNNN.json``) so a resumed shard
-    reloads instead of re-segmenting — see
-    :mod:`repro.index.persistence`.
+    A resumed run re-indexes only the bands without a checkpoint.
     """
     serial_config = replace(
         config,
@@ -642,11 +664,13 @@ def parallel_similarity_join_two(
     if len(bands) <= 1 and not checkpointing:
         return similarity_join_two(left, right, serial_config)
 
-    checkpoint, fingerprint = _open_checkpoint(
+    checkpoint = _open_checkpoint(
         run_dir,
-        ("two", config, (left, right)),
+        lambda: _join_fingerprint(
+            "two", config, bands, _collection_content(left, right)
+        ),
         bands,
-        shard=shard,
+        shard,
         strings=len(left) + len(right),
     )
     stats = JoinStatistics(total_strings=len(left) + len(right))
@@ -691,26 +715,19 @@ def parallel_similarity_join_two(
     pool_kwargs = _pool_publication(
         token, (shared_left, shared_right), (right_context,), mp_context
     )
-    payloads = []
-    for band in bands:
-        entry: tuple[Any, ...] = (
+    payloads = [
+        (
             band.index,
-            token,
-            eligible_by_band[band.index],
-            band.member_ids,
-            serial_config,
+            (
+                band.index,
+                token,
+                eligible_by_band[band.index],
+                band.member_ids,
+                serial_config,
+            ),
         )
-        if shard is not None and isinstance(checkpoint, ShardCheckpointStore):
-            assert fingerprint is not None
-            entry = entry + (
-                (
-                    str(checkpoint.index_snapshot_path(band.index)),
-                    fingerprint,
-                    shard[0],
-                    shard[1],
-                ),
-            )
-        payloads.append((band.index, entry))
+        for band in bands
+    ]
     backend = resolve_execution_backend(
         workers=config.workers, use_processes=use_processes, shard=shard
     )
@@ -723,13 +740,6 @@ def parallel_similarity_join_two(
         checkpoint=checkpoint,
         **pool_kwargs,
     )
-
-    pairs: list[JoinPair] = []
-    for _, band_pairs, band_stats in results:
-        pairs.extend(band_pairs)
-        stats.timer("bands").add(band_stats.seconds("total"))
-        stats.merge(band_stats)
-    pairs.sort()
-    stats.result_pairs = len(pairs)
+    outcome = _fold_bands(results, stats)
     total_timer.stop()
-    return JoinOutcome(pairs=pairs, stats=stats)
+    return outcome

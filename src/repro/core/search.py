@@ -36,7 +36,6 @@ class SimilaritySearcher:
         collection: Sequence[UncertainString],
         config: JoinConfig,
         context: CollectionContext | None = None,
-        index: Any = None,
     ) -> None:
         self.collection = list(collection)
         self.config = config
@@ -45,13 +44,9 @@ class SimilaritySearcher:
         # own profile lives with the negative pseudo-id's per-probe
         # state. ``context`` lets a parallel band reuse features the
         # parent already computed; by default features fill in lazily
-        # as queries touch the collection. ``index`` hands the engine a
-        # persisted segment-index snapshot of exactly this collection
-        # (the sharded R-S join reloads its band indexes this way); the
-        # (length, id) add order below matches the build order, which
-        # the snapshot contract requires.
+        # as queries touch the collection.
         self._context = context if context is not None else CollectionContext()
-        self._engine = JoinEngine(config, context=self._context, index=index)
+        self._engine = JoinEngine(config, context=self._context)
         order = sorted(
             range(len(self.collection)), key=lambda i: (len(self.collection[i]), i)
         )

@@ -11,13 +11,10 @@ against every string in the collection.
 
 from repro.index.merge import merge_weighted_postings, join_sorted_lists
 from repro.index.inverted import SegmentInvertedIndex, IndexCandidate
-from repro.index.persistence import load_index, save_index
 
 __all__ = [
     "merge_weighted_postings",
     "join_sorted_lists",
     "SegmentInvertedIndex",
     "IndexCandidate",
-    "load_index",
-    "save_index",
 ]

@@ -23,9 +23,9 @@ Robustness carries the design (DESIGN.md §6h):
   deadline pressure the exact verifier falls back to the
   Hoeffding-bounded sampling verifier and the response is flagged
   ``degraded: true``;
-* **warm snapshot reload** — ``/admin/reload`` (or ``SIGHUP``)
-  atomically swaps in a revalidated collection/index generation; a
-  corrupt snapshot keeps the old generation serving;
+* **warm reload** — ``/admin/reload`` (or ``SIGHUP``) atomically
+  swaps in a revalidated collection or index-store generation; a
+  missing or corrupt file keeps the old generation serving;
 * **crash-only shutdown** — drain in-flight requests against a drain
   deadline, then abort;
 * **request-path fault injection** — the executor's

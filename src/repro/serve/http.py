@@ -7,7 +7,7 @@ work starts. Routes::
     POST /search        {"query": "...", "tau"?: t, "k"?: k, "timeout"?: s}
     POST /topk          {"query": "...", "count": n, "k"?, "timeout"?}
     POST /mini-join     {"strings": [...], "tau"?, "k"?, "timeout"?}
-    POST /admin/reload  {"collection"?: path, "index"?: path, "store"?: path}
+    POST /admin/reload  {"collection"?: path, "store"?: path} (empty = {})
     GET  /healthz       liveness (always 200 while the process serves)
     GET  /readyz        readiness (503 once draining)
     GET  /stats         counters + serving-state snapshot
@@ -29,7 +29,6 @@ block it.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -227,25 +226,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_reload(self, body: bytes) -> None:
         try:
-            decoded = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send(
-                400,
-                error_document(
-                    "bad_request", f"request body is not valid JSON: {exc}"
-                ),
-            )
-            return
-        if not isinstance(decoded, dict):
-            self._send(
-                400,
-                error_document("bad_request", "reload body must be an object"),
-            )
+            fields = parse_request("admin/reload", body)
+        except ConfigurationError as exc:
+            self._send(400, error_document("bad_request", str(exc)))
             return
         document = self.server.service.reload(
-            collection_path=decoded.get("collection"),
-            index_path=decoded.get("index"),
-            store_path=decoded.get("store"),
+            collection_path=fields["collection"],
+            store_path=fields["store"],
         )
         self._send(_status_of(document), document)
 

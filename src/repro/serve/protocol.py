@@ -131,10 +131,17 @@ def _string_field(document: dict[str, Any], name: str) -> str:
     return value
 
 
+def _optional_string_field(document: dict[str, Any], name: str) -> "str | None":
+    if document.get(name) is None:
+        return None
+    return _string_field(document, name)
+
+
 _KNOWN_FIELDS = {
     "search": {"query", "tau", "k", "timeout"},
     "topk": {"query", "count", "k", "timeout"},
     "mini-join": {"strings", "tau", "k", "timeout"},
+    "admin/reload": {"collection", "store"},
 }
 
 
@@ -143,11 +150,14 @@ def parse_request(endpoint: str, body: bytes) -> dict[str, Any]:
 
     Returns a normalized field dict (``query``/``strings`` stay textual
     — the service parses uncertain-string notation so syntax errors are
-    reported per field). Raises
+    reported per field). An ``admin/reload`` body may be empty, which
+    reads as ``{}``: reload from the current paths. Raises
     :class:`~repro.core.errors.ConfigurationError` for malformed JSON,
     non-object bodies, unknown fields, and ill-typed values; the HTTP
     layer maps that to a ``bad_request`` 400.
     """
+    if endpoint == "admin/reload" and not body:
+        body = b"{}"
     try:
         decoded = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -160,6 +170,11 @@ def parse_request(endpoint: str, body: bytes) -> dict[str, Any]:
             f"unknown request field(s) {unknown} for {endpoint!r}; "
             f"expected a subset of {sorted(known)}"
         )
+    if endpoint == "admin/reload":
+        return {
+            "collection": _optional_string_field(document, "collection"),
+            "store": _optional_string_field(document, "store"),
+        }
     fields: dict[str, Any] = {
         "timeout": _float_field(document, "timeout", None),
         "k": _int_field(document, "k", None),

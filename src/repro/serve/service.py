@@ -27,11 +27,11 @@ ever labelled as such. Tier 2 is hard expiry: a typed
 the cooperative check points, never a hang.
 
 **Warm reload.** :meth:`reload` builds and validates a complete new
-generation (collection re-read, optional index snapshot header-checked
-against the serving config before postings load) while the old one
-keeps serving; the swap is a single reference assignment, and *any*
-failure — corrupt snapshot, unreadable file, malformed record — leaves
-the old generation in place and returns a typed ``reload_failed``.
+generation (collection re-read and re-indexed, or a store header-checked
+against the serving config) while the old one keeps serving; the swap
+is a single reference assignment, and *any* failure — corrupt store,
+unreadable file, malformed record — leaves the old generation in place
+and returns a typed ``reload_failed``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from repro.core.results import SearchMatch
 from repro.core.search import QUERY_ID, SimilaritySearcher
 from repro.core.stats import JoinStatistics
 from repro.datasets.loader import load_collection
-from repro.index.persistence import load_index, peek_index_meta
 from repro.serve.protocol import error_document, match_document
 from repro.uncertain.parser import UncertainStringSyntaxError, parse_uncertain
 from repro.uncertain.string import UncertainString
@@ -145,7 +144,7 @@ class _Generation:
     service's reference without ever changing state under a request.
 
     A generation is either in-memory (``collection`` materialized,
-    optionally fed from ``collection_path``/``index``) or store-backed
+    optionally read from ``collection_path``) or store-backed
     (``store`` set: the collection is the store's lazy facade, strings
     hydrate through its bounded LRU, and features live in a bounded
     :class:`~repro.store.source.StoreContext`) — requests are agnostic
@@ -158,15 +157,12 @@ class _Generation:
         config: JoinConfig,
         generation: int,
         collection_path: "str | None" = None,
-        index_path: "str | None" = None,
-        index: Any = None,
         store: Any = None,
         store_path: "str | None" = None,
     ) -> None:
         self.config = config
         self.generation = generation
         self.collection_path = collection_path
-        self.index_path = index_path
         self.store = store
         self.store_path = store_path
         if store is not None:
@@ -186,7 +182,7 @@ class _Generation:
             self.collection = list(collection)
             self.context = CollectionContext()
             self.searcher = SimilaritySearcher(
-                self.collection, config, context=self.context, index=index
+                self.collection, config, context=self.context
             )
         # Exact twin of the searcher's chain for ranking work (top-k
         # needs exact probabilities); shares the feature context, so
@@ -220,8 +216,6 @@ class JoinService:
         config: JoinConfig,
         options: "ServeOptions | None" = None,
         collection_path: "str | None" = None,
-        index_path: "str | None" = None,
-        index: Any = None,
         store: Any = None,
         store_path: "str | None" = None,
     ) -> None:
@@ -244,8 +238,6 @@ class JoinService:
             self._config,
             generation=0,
             collection_path=collection_path,
-            index_path=index_path,
-            index=index,
             store=store,
             store_path=store_path,
         )
@@ -256,21 +248,15 @@ class JoinService:
         collection_path: str,
         config: JoinConfig,
         options: "ServeOptions | None" = None,
-        index_path: "str | None" = None,
     ) -> "JoinService":
-        """Build a service from a collection file (+ optional snapshot)."""
-        collection = load_collection(collection_path)
-        index = None
-        if index_path is not None:
-            _validate_snapshot(index_path, config, len(collection))
-            index = load_index(index_path)
+        """Build a service from a collection file. A prebuilt index
+        that restarts without re-segmenting is a store: see
+        :meth:`from_store`."""
         return cls(
-            collection,
+            load_collection(collection_path),
             config,
             options,
             collection_path=collection_path,
-            index_path=index_path,
-            index=index,
         )
 
     @classmethod
@@ -462,14 +448,13 @@ class JoinService:
     def reload(
         self,
         collection_path: "str | None" = None,
-        index_path: "str | None" = None,
         store_path: "str | None" = None,
     ) -> dict[str, Any]:
         """Swap in a freshly built generation; keep the old one on failure.
 
-        The new collection (and optional index snapshot) is read and
-        fully validated *before* the swap — requests keep hitting the
-        old generation throughout, and the swap itself is one reference
+        The new collection is read, indexed, and fully validated
+        *before* the swap — requests keep hitting the old generation
+        throughout, and the swap itself is one reference
         assignment, so there is no window where a request sees a
         half-built state. Every failure path returns a typed
         ``reload_failed`` document with the old generation intact.
@@ -527,7 +512,6 @@ class JoinService:
                     "generation": fresh.generation,
                     "strings": len(fresh.collection),
                     "collection": None,
-                    "index": None,
                     "store": source,
                 }
             source = collection_path or old.collection_path
@@ -539,20 +523,12 @@ class JoinService:
                     "pass a collection path to reload",
                     generation=old.generation,
                 )
-            snapshot = index_path if index_path is not None else old.index_path
             try:
-                collection = load_collection(source)
-                index = None
-                if snapshot is not None:
-                    _validate_snapshot(snapshot, self._config, len(collection))
-                    index = load_index(snapshot)
                 fresh = _Generation(
-                    collection,
+                    load_collection(source),
                     self._config,
                     generation=old.generation + 1,
                     collection_path=source,
-                    index_path=snapshot,
-                    index=index,
                 )
             except (ReproError, OSError) as exc:
                 self.stats.record("serve", "reload_failed")
@@ -569,7 +545,6 @@ class JoinService:
                 "generation": fresh.generation,
                 "strings": len(fresh.collection),
                 "collection": source,
-                "index": snapshot,
                 "store": None,
             }
 
@@ -792,36 +767,3 @@ def _topk_documents(best: list[tuple[float, int]]) -> list[dict[str, Any]]:
 def _sorted_pairs(pairs: list[dict[str, Any]]) -> list[dict[str, Any]]:
     return sorted(pairs, key=lambda p: (p["left"], p["right"]))
 
-
-def _validate_snapshot(
-    path: str, config: JoinConfig, collection_size: int
-) -> None:
-    """Header-check an index snapshot against the serving config.
-
-    Catches the cheap-to-detect mismatches (wrong k/q/index knobs,
-    wrong collection size) *before* postings are parsed, so a reload
-    pointed at the wrong snapshot fails fast and typed.
-    """
-    from repro.core.errors import CheckpointMismatchError
-
-    meta = peek_index_meta(path)
-    expected = {
-        "k": config.k,
-        "q": config.q,
-        "selection": config.selection,
-        "group_mode": config.group_mode,
-        "bound_mode": config.bound_mode,
-    }
-    actual = {key: meta.get(key) for key in expected}
-    if actual != expected:
-        raise CheckpointMismatchError(
-            str(path),
-            f"index snapshot was built under {actual}, "
-            f"serving config needs {expected}",
-        )
-    if meta.get("last_id") != collection_size - 1:
-        raise CheckpointMismatchError(
-            str(path),
-            f"index snapshot covers {meta.get('last_id', -1) + 1} string(s), "
-            f"collection has {collection_size}",
-        )

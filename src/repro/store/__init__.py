@@ -17,7 +17,6 @@ from repro.store.base import (
 )
 from repro.store.driver import (
     iter_store_join_pairs,
-    parallel_store_join,
     store_similarity_join,
 )
 from repro.store.memory import MemoryStore, collection_digest
@@ -45,6 +44,5 @@ __all__ = [
     "build_sqlite_store",
     "collection_digest",
     "iter_store_join_pairs",
-    "parallel_store_join",
     "store_similarity_join",
 ]

@@ -1,87 +1,26 @@
 """Out-of-core join drivers over an :class:`~repro.store.base.IndexStore`.
 
-The store-backed counterparts of :func:`repro.core.join.similarity_join`
-and its banded parallel driver. Same pairs, same probabilities, same
-band plan and checkpoint layout — the differences are purely about what
-is resident:
-
-* the serial path walks the store's recorded (length, id) visit order,
-  hydrates strings through one bounded LRU shared by the engine and the
-  collection facade, and probes prebuilt postings instead of building an
-  index — peak RSS tracks the cache capacity, not the collection;
-* the parallel path plans bands from the store's length bookkeeping,
-  publishes a :class:`~repro.store.source.StoreCollection` (which
-  pickles as just the store path — every worker and every shard opens
-  the *same* file instead of receiving a republished collection), and
-  reuses the classic band task verbatim, so band outputs are the classic
-  outputs;
-* checkpoint fingerprints substitute the store's content digest for the
-  collection hash, so opening a run directory never hydrates anything.
+The store-backed counterparts of :func:`repro.core.join.similarity_join`.
+Same pairs, same probabilities — the differences are purely about what
+is resident: the serial path walks the store's recorded (length, id)
+visit order, hydrates strings through one bounded LRU shared by the
+engine and the collection facade, and probes prebuilt postings instead
+of building an index, so peak RSS tracks the cache capacity, not the
+collection. Banded and checkpointed runs go through
+:func:`repro.core.parallel.parallel_similarity_join` with ``store=``.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import replace
-from typing import Any, Iterator, Sequence
+from typing import Iterator
 
 from repro.core.config import JoinConfig
-from repro.core.context import CollectionContext
-from repro.core.dispatch import resolve_execution_backend
 from repro.core.engine import JoinEngine
-from repro.core.executor import RetryPolicy
-from repro.core.parallel import (
-    MIN_PARALLEL_STRINGS,
-    LengthBand,
-    _open_checkpoint,
-    _pool_publication,
-    _resilience,
-    _resolve_mp_context,
-    _self_join_band,
-    _TOKENS,
-    plan_length_bands,
-)
+from repro.core.parallel import parallel_similarity_join
 from repro.core.results import JoinOutcome, JoinPair
 from repro.core.stats import JoinStatistics
 from repro.store.base import DEFAULT_CACHE_SIZE, IndexStore
 from repro.store.source import StoreCollection, StoreContext, StoreStringCache
-from repro.util.faults import FaultPlan
-
-
-def _store_fingerprint(
-    kind: str,
-    config: JoinConfig,
-    bands: Sequence[LengthBand],
-    store: IndexStore,
-) -> str:
-    """The store-mode analogue of ``parallel._join_fingerprint``.
-
-    Same result-affecting knobs and band plan; the collection content
-    is covered by the store's digest (already a hash over the exact
-    serialized strings) instead of a re-hash that would hydrate every
-    string. The ``store:`` prefix keeps store-mode and classic
-    checkpoints from resuming each other — they are byte-identical in
-    output but not in provenance.
-    """
-    digest = hashlib.sha256()
-    digest.update(f"store:{kind}".encode("utf-8"))
-    knobs = (
-        config.k,
-        config.tau,
-        config.q,
-        config.filters,
-        config.verification,
-        config.selection,
-        config.group_mode,
-        config.bound_mode,
-        config.report_probabilities,
-        config.early_stop_verification,
-    )
-    digest.update(repr(knobs).encode("utf-8"))
-    plan = [(band.low, band.high, band.member_ids) for band in bands]
-    digest.update(repr(plan).encode("utf-8"))
-    digest.update(store.meta.digest.encode("utf-8"))
-    return digest.hexdigest()
 
 
 def iter_store_join_pairs(
@@ -134,105 +73,6 @@ def store_similarity_join(
     """
     store.meta.check_compatible(config)
     if config.workers > 1 or config.checkpoint_dir is not None:
-        return parallel_store_join(store, config)
+        return parallel_similarity_join(None, config, store=store)
     return _serial_store_join(store, config)
 
-
-def parallel_store_join(
-    store: IndexStore,
-    config: JoinConfig,
-    use_processes: bool = True,
-    min_parallel: int = MIN_PARALLEL_STRINGS,
-    *,
-    policy: "RetryPolicy | None" = None,
-    faults: "FaultPlan | None" = None,
-    run_dir: "str | None" = None,
-    mp_context: Any = None,
-) -> JoinOutcome:
-    """Length-banded parallel self-join reading one shared store file.
-
-    The classic driver's plan, executor, resilience, and band task —
-    only the publication differs: workers receive a
-    :class:`~repro.store.source.StoreCollection` (a path, once
-    unpickled) and an empty feature context, then hydrate and
-    featurize just their band in-process. Shard runs
-    (``config.shard = "i/N"``) publish the same store path instead of a
-    per-shard collection slice; the shard checkpoint layout and
-    :func:`repro.core.merge.merge_run` compatibility are unchanged.
-    """
-    store.meta.check_compatible(config)
-    serial_config = replace(
-        config,
-        workers=1,
-        checkpoint_dir=None,
-        fault_spec=None,
-        shard=None,
-        mp_start=None,
-    )
-    policy, faults, run_dir = _resilience(config, policy, faults, run_dir)
-    mp_context = _resolve_mp_context(config, mp_context)
-    shard = config.shard_coordinates
-    checkpointing = run_dir is not None
-    if not checkpointing and (
-        config.workers <= 1 or len(store) < min_parallel
-    ):
-        return _serial_store_join(store, serial_config)
-    lengths = [0] * len(store)
-    for string_id, length in zip(
-        store.ids_in_visit_order(), store.lengths_in_visit_order()
-    ):
-        lengths[string_id] = length
-    plan_workers = config.workers * (shard[1] if shard is not None else 1)
-    bands = plan_length_bands(lengths, plan_workers, config.k)
-    if len(bands) <= 1 and not checkpointing:
-        return _serial_store_join(store, serial_config)
-    if not bands:
-        return _serial_store_join(store, serial_config)
-
-    checkpoint, _ = _open_checkpoint(
-        run_dir,
-        ("self", config, ()),
-        bands,
-        shard=shard,
-        strings=len(store),
-        fingerprint=_store_fingerprint("self", config, bands, store),
-    )
-    stats = JoinStatistics(total_strings=len(store))
-    total_timer = stats.timer("total").start()
-    token = next(_TOKENS)
-    # One shared store for every band, worker, and shard: the published
-    # collection pickles as the store path, and band tasks bulk-hydrate
-    # their members through StoreCollection.take. Features are built
-    # in-band (band-sized), so the context published here stays empty.
-    pool_kwargs = _pool_publication(
-        token, (StoreCollection(store),), (CollectionContext(),), mp_context
-    )
-    payloads = [
-        (
-            band.index,
-            (band.index, token, band.member_ids, band.high, serial_config),
-        )
-        for band in bands
-    ]
-    backend = resolve_execution_backend(
-        workers=config.workers, use_processes=use_processes, shard=shard
-    )
-    results = backend.execute(
-        _self_join_band,
-        payloads,
-        policy=policy,
-        stats=stats,
-        faults=faults,
-        checkpoint=checkpoint,
-        **pool_kwargs,
-    )
-
-    pairs: list[JoinPair] = []
-    for _, band_pairs, band_stats in results:
-        pairs.extend(band_pairs)
-        stats.timer("bands").add(band_stats.seconds("total"))
-        stats.merge(band_stats)
-    pairs.sort()
-    stats.result_pairs = len(pairs)
-    total_timer.stop()
-    return JoinOutcome(pairs=pairs, stats=stats)

@@ -10,8 +10,10 @@ One database file holds the whole built index:
     One row per string: ``rank`` (primary key, the canonical
     (length, id) visit position), original ``id``, ``length``, and the
     ``format_uncertain(precision=17)`` text — 17 significant digits
-    round-trip IEEE doubles exactly, so hydrated strings carry the
-    same floats the builder saw.
+    round-trip IEEE doubles exactly, and the text is read back with
+    :func:`~repro.uncertain.parser.parse_normalized` (no second
+    normalization), so hydrated strings and postings carry the same
+    floats the builder saw.
 ``postings``
     One row per posting entry ``(length, segment, word, rank, prob)``,
     covered by a unique index in exactly the probe's access order.
@@ -46,7 +48,7 @@ from repro.store.base import (
     STORE_PRECISION,
     StoreMeta,
 )
-from repro.uncertain.parser import format_uncertain, parse_uncertain
+from repro.uncertain.parser import format_uncertain, parse_normalized
 from repro.uncertain.string import UncertainString
 from repro.uncertain.worlds import enumerate_worlds
 
@@ -154,7 +156,7 @@ def build_sqlite_store(
         for rank, length, text in read_cursor.execute(
             "SELECT rank, length, text FROM strings ORDER BY rank"
         ):
-            string = parse_uncertain(text)
+            string = parse_normalized(text)
             partition = [] if length == 0 else partition_for(length, q, k)
             for segment in partition:
                 piece = string.substring(segment.start, segment.length)
@@ -352,7 +354,7 @@ class SqliteStore:
             "ORDER BY rank",
             (start, stop),
         )
-        return [parse_uncertain(text) for (text,) in rows]
+        return [parse_normalized(text) for (text,) in rows]
 
     def strings_by_ids(
         self, ids: Sequence[int]
@@ -366,7 +368,7 @@ class SqliteStore:
                 list(chunk),
             )
             for string_id, text in rows:
-                out[string_id] = parse_uncertain(text)
+                out[string_id] = parse_normalized(text)
         return out
 
     def has_segment(

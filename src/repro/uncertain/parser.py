@@ -12,6 +12,8 @@ reconstruct the distribution exactly for typical inputs).
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.uncertain.position import UncertainPosition
 from repro.uncertain.string import UncertainString
 
@@ -26,7 +28,28 @@ class UncertainStringSyntaxError(ValueError):
 
 
 def parse_uncertain(text: str) -> UncertainString:
-    """Parse the paper's ``A{(C,0.5),(G,0.5)}T`` notation."""
+    """Parse the paper's ``A{(C,0.5),(G,0.5)}T`` notation.
+
+    Each pdf is normalized by its sum, so inputs rounded to a few digits
+    still make exact distributions.
+    """
+    return _parse(text, UncertainPosition)
+
+
+def parse_normalized(text: str) -> UncertainString:
+    """Parse text whose pdfs are already normalized, floats verbatim.
+
+    For strings written by :func:`format_uncertain` at 17 significant
+    digits (index stores): the same syntax and validity checks as
+    :func:`parse_uncertain`, but no second division by the sum, so the
+    parsed floats are exactly the ones that were formatted.
+    """
+    return _parse(text, UncertainPosition.from_normalized)
+
+
+def _parse(
+    text: str, position: Callable[[list[tuple[str, float]]], UncertainPosition]
+) -> UncertainString:
     positions: list[UncertainPosition] = []
     i = 0
     n = len(text)
@@ -42,12 +65,17 @@ def parse_uncertain(text: str) -> UncertainString:
         if closing == -1:
             raise UncertainStringSyntaxError(text, i, "unterminated '{'")
         body = text[i + 1 : closing]
-        positions.append(_parse_pdf_block(text, i + 1, body))
+        positions.append(_parse_pdf_block(text, i + 1, body, position))
         i = closing + 1
     return UncertainString(positions)
 
 
-def _parse_pdf_block(text: str, offset: int, body: str) -> UncertainPosition:
+def _parse_pdf_block(
+    text: str,
+    offset: int,
+    body: str,
+    position: Callable[[list[tuple[str, float]]], UncertainPosition],
+) -> UncertainPosition:
     """Parse the interior of one ``{...}`` block into a position."""
     alternatives: list[tuple[str, float]] = []
     i = 0
@@ -84,7 +112,7 @@ def _parse_pdf_block(text: str, offset: int, body: str) -> UncertainPosition:
     if not alternatives:
         raise UncertainStringSyntaxError(text, offset, "empty pdf block")
     try:
-        return UncertainPosition(alternatives)
+        return position(alternatives)
     except ValueError as exc:
         raise UncertainStringSyntaxError(text, offset, str(exc)) from exc
 

@@ -25,6 +25,28 @@ class UncertainPosition:
     __slots__ = ("_chars", "_probs", "_pdf")
 
     def __init__(self, alternatives: Mapping[str, float] | Iterable[tuple[str, float]]) -> None:
+        self._set(alternatives, normalize=True)
+
+    @classmethod
+    def from_normalized(
+        cls, alternatives: Mapping[str, float] | Iterable[tuple[str, float]]
+    ) -> "UncertainPosition":
+        """A position whose probabilities are already normalized.
+
+        For text written by ``format_uncertain`` at full precision: the
+        same validity checks as the constructor, but the floats are kept
+        verbatim. Normalized floats often sum to 1 ± 1 ulp, so dividing
+        by the sum again could move each of them on every round trip.
+        """
+        position = cls.__new__(cls)
+        position._set(alternatives, normalize=False)
+        return position
+
+    def _set(
+        self,
+        alternatives: Mapping[str, float] | Iterable[tuple[str, float]],
+        normalize: bool,
+    ) -> None:
         if isinstance(alternatives, Mapping):
             items = list(alternatives.items())
         else:
@@ -45,8 +67,11 @@ class UncertainPosition:
         total = sum(seen.values())
         if abs(total - 1.0) > PROBABILITY_TOLERANCE:
             raise ValueError(f"probabilities must sum to 1 (got {total!r})")
-        # Normalize exactly so downstream products stay well-scaled, then
-        # drop zero-probability alternatives (they are not possible worlds).
+        # Normalize exactly so downstream products stay well-scaled (unless
+        # the caller vouches the floats already are), then drop
+        # zero-probability alternatives (they are not possible worlds).
+        if not normalize:
+            total = 1.0
         normalized = [
             (char, prob / total) for char, prob in seen.items() if prob > 0.0
         ]
@@ -57,8 +82,19 @@ class UncertainPosition:
 
     @classmethod
     def certain(cls, char: str) -> "UncertainPosition":
-        """A deterministic position: ``char`` with probability 1."""
-        return cls(((char, 1.0),))
+        """A deterministic position: ``char`` with probability 1.
+
+        Most positions of most strings are certain, so this skips the
+        general constructor: a single alternative at 1.0 needs no sum
+        check, normalization or sort.
+        """
+        if not isinstance(char, str) or len(char) != 1:
+            raise ValueError(f"alternative {char!r} is not a single character")
+        position = cls.__new__(cls)
+        position._chars = (char,)
+        position._probs = (1.0,)
+        position._pdf = {char: 1.0}
+        return position
 
     @property
     def chars(self) -> tuple[str, ...]:

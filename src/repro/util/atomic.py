@@ -1,21 +1,17 @@
-"""Crash-atomic file writes: one idiom, shared by every persister.
+"""Crash-atomic file writes for the checkpoint store.
 
-The checkpoint store, the index persistence layer, and the SQLite
-store builder all have the same durability contract: a reader must
-never observe a half-written file — after a crash the target either
-holds the complete previous content or the complete new content.
-POSIX gives exactly that through a same-directory tmp file plus
-``os.replace``; this module owns the idiom so the layers cannot drift
-(the pre-PR ``save_index`` had grown its own copy without a unique tmp
-name, so two concurrent savers could clobber each other's tmp file).
+A reader must never observe a half-written checkpoint: after a crash
+the target either holds the complete previous content or the complete
+new content. POSIX gives exactly that through a same-directory tmp
+file plus ``os.replace``; this module owns the idiom. (The SQLite
+store builder follows the same contract with its own tmp database
+file, fsync and rename.)
 
 ``fsync=True`` additionally flushes file contents to stable storage
 before the rename, upgrading the guarantee from "atomic against
 process crashes" to "atomic against power loss" at the cost of one
-sync per write. The checkpoint layer keeps the default (process-crash
-atomicity is its documented contract and bands are re-runnable); the
-index/store builders sync, because a corrupt artifact there silently
-poisons every later run.
+sync per write. The checkpoint layer keeps the default: process-crash
+atomicity is its documented contract, and bands are re-runnable.
 """
 
 from __future__ import annotations
@@ -48,9 +44,3 @@ def atomic_write_bytes(
         tmp.unlink(missing_ok=True)
         raise
 
-
-def atomic_write_text(
-    path: str | Path, text: str, fsync: bool = False
-) -> None:
-    """:func:`atomic_write_bytes` for UTF-8 text."""
-    atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)

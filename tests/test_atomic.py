@@ -7,15 +7,10 @@ litter survives the failure.
 """
 
 import os
-import random
 
 import pytest
 
-from repro.index.persistence import load_index, save_index
-from repro.util.atomic import atomic_write_bytes, atomic_write_text
-
-from tests.helpers import random_collection
-from tests.test_index_persistence import build
+from repro.util.atomic import atomic_write_bytes
 
 
 class TestAtomicWrite:
@@ -26,11 +21,6 @@ class TestAtomicWrite:
         atomic_write_bytes(target, b"second", fsync=True)
         assert target.read_bytes() == b"second"
         assert list(tmp_path.iterdir()) == [target]
-
-    def test_text_round_trips_utf8(self, tmp_path):
-        target = tmp_path / "doc.txt"
-        atomic_write_text(target, "naïve ω")
-        assert target.read_text(encoding="utf-8") == "naïve ω"
 
     def test_failed_rename_preserves_target_and_cleans_tmp(
         self, tmp_path, monkeypatch
@@ -81,40 +71,3 @@ class TestAtomicWrite:
             atomic_write_bytes(target, b"x")
         assert seen and seen[0].endswith(f".tmp.{os.getpid()}")
 
-
-class TestSaveIndexCrashMidWrite:
-    def test_crash_during_save_keeps_previous_snapshot_loadable(
-        self, tmp_path, monkeypatch
-    ):
-        # Regression: a save that dies between writing bytes and the
-        # atomic rename must leave the previously committed snapshot
-        # fully loadable — not a truncated JSON document.
-        rng = random.Random(31)
-        first = build(random_collection(rng, 8, length_range=(4, 7)))
-        path = tmp_path / "index.json"
-        save_index(first, path)
-        expected = [
-            (c.string_id, c.alphas, c.upper)
-            for query in random_collection(rng, 3, length_range=(4, 7))
-            for c in first.query(query, 0.05)
-        ]
-
-        def exploding_replace(src, dst):
-            raise OSError("crashed before rename")
-
-        monkeypatch.setattr("repro.util.atomic.os.replace", exploding_replace)
-        second = build(random_collection(rng, 12, length_range=(4, 7)))
-        with pytest.raises(OSError):
-            save_index(second, path)
-        monkeypatch.undo()
-
-        reloaded = load_index(path)
-        rng = random.Random(31)
-        random_collection(rng, 8, length_range=(4, 7))
-        observed = [
-            (c.string_id, c.alphas, c.upper)
-            for query in random_collection(rng, 3, length_range=(4, 7))
-            for c in reloaded.query(query, 0.05)
-        ]
-        assert observed == expected
-        assert list(tmp_path.iterdir()) == [path]

@@ -8,11 +8,13 @@ grid stays fast; dedicated tests cover the real ProcessPoolExecutor
 path and the public ``config.workers`` dispatch.
 """
 
+import json
 import random
 
 import pytest
 
 from repro.core.config import ALGORITHMS, JoinConfig
+from repro.core.errors import ConfigurationError
 from repro.core.join import similarity_join
 from repro.core.join_two import similarity_join_two
 from repro.core.parallel import (
@@ -21,7 +23,9 @@ from repro.core.parallel import (
     parallel_similarity_join_two,
     plan_length_bands,
 )
+from repro.store import MemoryStore, SqliteStore, build_sqlite_store
 
+from tests import equivalence_spec as spec
 from tests.helpers import random_collection
 
 
@@ -208,3 +212,62 @@ class TestWorkersConfig:
 
     def test_default_is_serial(self):
         assert JoinConfig(k=1, tau=0.1).workers == 1
+
+
+class TestCheckpointFingerprints:
+    """Run directories outlive releases: the fingerprint a checkpointed
+    run writes to ``run.json`` must stay byte-identical, or a resume
+    after an upgrade would be rejected. Literal digests, per input kind
+    (in-memory self-join, store self-join, R×S join)."""
+
+    @pytest.fixture
+    def config(self):
+        return JoinConfig.for_algorithm(
+            "QFCT", k=2, tau=spec.TAU, q=spec.Q,
+            report_probabilities=True, workers=2,
+        )
+
+    @staticmethod
+    def fingerprint(run_dir):
+        return json.loads((run_dir / "run.json").read_text())["fingerprint"]
+
+    def test_self_join(self, config, tmp_path):
+        parallel_similarity_join(
+            spec.self_collection(), config, use_processes=False,
+            run_dir=str(tmp_path),
+        )
+        assert self.fingerprint(tmp_path) == (
+            "2ce248465c3556c87410cf3871156bc49b0bab0c3ef7fc64972b878365913185"
+        )
+
+    def test_store_self_join(self, config, tmp_path):
+        collection = spec.self_collection()
+        build_sqlite_store(iter(collection), tmp_path / "s.db", k=2, q=spec.Q)
+        for name, store in (
+            ("memory", MemoryStore(collection, k=2, q=spec.Q)),
+            ("sqlite", SqliteStore(tmp_path / "s.db")),
+        ):
+            parallel_similarity_join(
+                None, config, use_processes=False,
+                run_dir=str(tmp_path / name), store=store,
+            )
+            assert self.fingerprint(tmp_path / name) == (
+                "2154bd973366947edc1afcf6666ec79e37a891b2942f233bde181461092d54e5"
+            )
+
+    def test_two_join(self, config, tmp_path):
+        parallel_similarity_join_two(
+            spec.left_collection(), spec.right_collection(), config,
+            use_processes=False, run_dir=str(tmp_path),
+        )
+        assert self.fingerprint(tmp_path) == (
+            "7ddb2e691302eb74a860c38c30c41f06ceda627d1e5ac831116fd6e37ccbd02d"
+        )
+
+    def test_needs_exactly_one_input(self, config):
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            parallel_similarity_join(None, config)
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            parallel_similarity_join(
+                [], config, store=MemoryStore([], k=2, q=2)
+            )

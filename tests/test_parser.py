@@ -5,6 +5,7 @@ import pytest
 from repro.uncertain.parser import (
     UncertainStringSyntaxError,
     format_uncertain,
+    parse_normalized,
     parse_uncertain,
 )
 from repro.uncertain.string import UncertainString
@@ -58,6 +59,25 @@ class TestParseErrors:
         with pytest.raises(UncertainStringSyntaxError):
             parse_uncertain(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A{(C,0.5)",
+            "A}C",
+            "A{}C",
+            "A{(C,0.5),(G,0.6)}",
+            "A{(CG,1.0)}",
+            "A{(C,x)}",
+            "A{(C0.5)}",
+            "A{(C,0.5),(C,0.5)}",   # duplicate alternative
+            "A{(C,-0.5),(G,1.5)}",  # negative probability
+            "A{(C,nan),(G,0.5)}",   # non-finite probability
+        ],
+    )
+    def test_parse_normalized_keeps_every_check(self, text):
+        with pytest.raises(UncertainStringSyntaxError):
+            parse_normalized(text)
+
     def test_error_reports_offset(self):
         with pytest.raises(UncertainStringSyntaxError) as excinfo:
             parse_uncertain("AC}T")
@@ -81,3 +101,18 @@ class TestRoundTrip:
 
     def test_format_certain_is_plain_text(self):
         assert format_uncertain(UncertainString.from_text("abc")) == "abc"
+
+
+class TestParseNormalized:
+    def test_keeps_floats_verbatim(self):
+        # 0.7 + 0.2 + 0.1 sums to 1 - 1 ulp: parse_uncertain divides by
+        # the sum and moves every float; parse_normalized keeps them.
+        text = "{(a,0.7),(b,0.2),(c,0.1)}"
+        assert parse_normalized(text)[0].probs == (0.7, 0.2, 0.1)
+        assert parse_uncertain(text)[0].probs != (0.7, 0.2, 0.1)
+
+    def test_full_precision_round_trip_is_exact(self):
+        once = parse_uncertain("A{(C,0.3),(G,0.2),(T,0.5)}{(x,0.7),(y,0.2),(z,0.1)}")
+        text = format_uncertain(once, precision=17)
+        assert parse_normalized(text) == once
+        assert format_uncertain(parse_normalized(text), precision=17) == text

@@ -22,6 +22,11 @@ class TestConstruction:
         assert pos.is_certain
         assert pos.top == "Q"
         assert pos.probability("Q") == 1.0
+        assert pos == UncertainPosition({"Q": 1.0})
+        assert (pos.chars, pos.probs, pos.pdf) == (("Q",), (1.0,), {"Q": 1.0})
+        for bad in ("", "QQ", 7):
+            with pytest.raises(ValueError, match="single character"):
+                UncertainPosition.certain(bad)
 
     def test_sorted_most_probable_first(self):
         pos = UncertainPosition({"A": 0.2, "C": 0.5, "G": 0.3})

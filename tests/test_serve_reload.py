@@ -1,11 +1,11 @@
-"""Warm-reload tests: atomic generation swap, corrupt-snapshot safety.
+"""Warm-reload tests: atomic generation swap, failure safety, body checks.
 
 The serving invariants under reload: requests never observe a
 half-built generation (the swap is one reference assignment behind a
 fully validated build), a failed reload — missing file, malformed
-records, corrupt or mismatched index snapshot — leaves the old
-generation serving and returns a typed ``reload_failed`` document, and
-an index snapshot round-trips to byte-identical answers.
+records — leaves the old generation serving and returns a typed
+``reload_failed`` document, and a malformed ``/admin/reload`` body is a
+typed 400 that reloads nothing.
 """
 
 import http.client
@@ -15,14 +15,13 @@ import threading
 import pytest
 
 from repro.core.config import JoinConfig
-from repro.core.errors import CheckpointCorruptError, CheckpointMismatchError
+from repro.core.errors import ConfigurationError
 from repro.core.search import SimilaritySearcher
 from repro.datasets.loader import save_collection
 from repro.datasets.presets import dblp_like_collection
-from repro.index.persistence import peek_index_meta, save_index
 from repro.serve.http import ServerRunner
-from repro.serve.protocol import encode_document
-from repro.serve.service import JoinService, _validate_snapshot
+from repro.serve.protocol import parse_request
+from repro.serve.service import JoinService
 from repro.uncertain.parser import format_uncertain
 
 
@@ -106,72 +105,6 @@ class TestReload:
         document = service.reload(collection_path=str(bad))
         assert document["error"]["type"] == "reload_failed"
         assert service.generation == 0 and len(service) == 16
-
-
-class TestSnapshots:
-    def test_index_snapshot_round_trips_byte_identically(self, tmp_path):
-        collection = make_collection(24, rng=5)
-        config = make_config()
-        path = tmp_path / "c.txt"
-        save_collection(collection, path, precision=12)
-        fresh = JoinService.from_files(str(path), config)
-        snapshot = tmp_path / "index.json"
-        save_index(fresh._state.searcher.engine.source.index, snapshot)
-
-        warmed = JoinService.from_files(
-            str(path), config, index_path=str(snapshot)
-        )
-        for string in collection[:4]:
-            text = query_text(string)
-            assert encode_document(warmed.search(text)) == encode_document(
-                fresh.search(text)
-            )
-
-    def test_peek_index_meta_reads_header_only(self, tmp_path):
-        collection = make_collection(16, rng=5)
-        config = make_config()
-        path = tmp_path / "c.txt"
-        save_collection(collection, path, precision=12)
-        service = JoinService.from_files(str(path), config)
-        snapshot = tmp_path / "index.json"
-        save_index(service._state.searcher.engine.source.index, snapshot)
-        meta = peek_index_meta(snapshot)
-        assert meta["k"] == config.k
-        assert meta["q"] == config.q
-        assert meta["last_id"] == len(collection) - 1
-
-    def test_validate_snapshot_rejects_mismatches(self, tmp_path):
-        collection = make_collection(16, rng=5)
-        config = make_config()
-        path = tmp_path / "c.txt"
-        save_collection(collection, path, precision=12)
-        service = JoinService.from_files(str(path), config)
-        snapshot = tmp_path / "index.json"
-        save_index(service._state.searcher.engine.source.index, snapshot)
-        _validate_snapshot(snapshot, config, len(collection))
-        with pytest.raises(CheckpointMismatchError):
-            _validate_snapshot(
-                snapshot, config.with_request_k(3), len(collection)
-            )
-        with pytest.raises(CheckpointMismatchError):
-            _validate_snapshot(snapshot, config, len(collection) + 1)
-        with pytest.raises(CheckpointCorruptError):
-            _validate_snapshot(path, config, len(collection))
-
-    def test_corrupt_snapshot_keeps_old_generation(self, tmp_path):
-        collection = make_collection(16, rng=5)
-        config = make_config()
-        path = tmp_path / "c.txt"
-        save_collection(collection, path, precision=12)
-        service = JoinService.from_files(str(path), config)
-        snapshot = tmp_path / "index.json"
-        snapshot.write_text('{"magic": "nope"', encoding="utf-8")
-        document = service.reload(
-            collection_path=str(path), index_path=str(snapshot)
-        )
-        assert document["error"]["type"] == "reload_failed"
-        assert service.generation == 0
-        assert service.stats.serve_counts()["serve.reload_failed"] == 1
 
 
 class TestReloadUnderTraffic:
@@ -270,6 +203,72 @@ class TestReloadUnderTraffic:
             assert response.status == 500
             assert document["error"]["type"] == "reload_failed"
             assert service.generation == 1
+            connection.close()
+        finally:
+            assert runner.shutdown()
+
+
+def post_reload(connection, body):
+    """POST ``body`` (raw bytes) to /admin/reload; (status, document)."""
+    connection.request(
+        "POST", "/admin/reload", body=body,
+        headers={"Content-Type": "application/json"},
+    )
+    response = connection.getresponse()
+    return response.status, json.loads(response.read())
+
+
+class TestReloadBody:
+    """``/admin/reload`` bodies go through the request decoder: known
+    fields only, each an optional string; an empty body means ``{}``."""
+
+    def test_parse_request_fields(self):
+        assert parse_request("admin/reload", b"") == {
+            "collection": None, "store": None,
+        }
+        assert parse_request("admin/reload", b'{"store": "s.db"}') == {
+            "collection": None, "store": "s.db",
+        }
+        for body in (
+            b'{"collection": 5}',
+            b'{"store": ["s.db"]}',
+            b'{"collection": ""}',
+            b'{"colection": "c.txt"}',
+            b'{"index": "index.json"}',
+            b"[]",
+            b"{",
+        ):
+            with pytest.raises(ConfigurationError):
+                parse_request("admin/reload", body)
+
+    def test_http_reload_body_validation(self, tmp_path):
+        config = make_config()
+        path = tmp_path / "c.txt"
+        save_collection(make_collection(16, rng=8), path, precision=12)
+        service = JoinService.from_files(str(path), config)
+        runner = ServerRunner(service).start()
+        try:
+            host, port = runner.address
+            connection = http.client.HTTPConnection(host, port, timeout=30.0)
+            for body in (
+                json.dumps({"collection": 5}),
+                json.dumps({"colection": str(path)}),
+                json.dumps({"index": str(tmp_path / "index.json")}),
+                json.dumps({"store": None, "collection": ["c.txt"]}),
+                "[1]",
+            ):
+                status, document = post_reload(connection, body)
+                assert status == 400, body
+                assert document["error"]["type"] == "bad_request"
+            assert service.generation == 0
+            # An empty body and {} reload from the current path.
+            for generation, body in ((1, ""), (2, "{}")):
+                status, document = post_reload(connection, body)
+                assert status == 200
+                assert document["generation"] == generation
+                assert document["collection"] == str(path)
+                assert "index" not in document
+            assert service.generation == 2
             connection.close()
         finally:
             assert runner.shutdown()
