@@ -9,18 +9,8 @@ drivers are thin adapters over the streaming :class:`JoinEngine`;
 directly.
 """
 
-from repro.core.checkpoint import ShardCheckpointStore
-from repro.core.config import ALGORITHMS, JoinConfig
-from repro.core.dispatch import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    ShardBackend,
-    effective_pool_width,
-    parse_shard,
-    resolve_execution_backend,
-    shard_slice,
-)
+from repro.core.checkpoint import CheckpointStore, ShardCheckpointStore
+from repro.core.config import ALGORITHMS, JoinConfig, parse_shard, shard_slice
 from repro.core.errors import (
     BandTimeoutError,
     CheckpointCorruptError,
@@ -32,7 +22,7 @@ from repro.core.errors import (
     ShardIncompleteError,
     WorkerCrashError,
 )
-from repro.core.executor import CheckpointStore, RetryPolicy, run_bands
+from repro.core.executor import RetryPolicy, effective_pool_width, run_bands
 from repro.core.merge import merge_run
 from repro.core.results import JoinOutcome, JoinPair, SearchMatch, SearchOutcome
 from repro.core.stats import JoinStatistics
@@ -75,11 +65,6 @@ __all__ = [
     "CheckpointStore",
     "ShardCheckpointStore",
     "run_bands",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "ShardBackend",
-    "resolve_execution_backend",
     "effective_pool_width",
     "parse_shard",
     "shard_slice",

@@ -36,14 +36,14 @@ from __future__ import annotations
 import json
 import pickle
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
     ConfigurationError,
 )
-from repro.core.results import JoinPair
+from repro.core.results import JoinOutcome, JoinPair
 from repro.core.stats import JoinStatistics
 from repro.util.atomic import atomic_write_bytes
 
@@ -57,9 +57,26 @@ _MANIFEST_NAME = "run.json"
 _SHARD_MANIFEST_NAME = "manifest.json"
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via tmp file + rename (crash-atomic)."""
-    atomic_write_bytes(path, data)
+def fold_bands(
+    results: Iterable[BandResult], stats: JoinStatistics
+) -> JoinOutcome:
+    """Fold band results into one outcome, the one fold every path uses.
+
+    Bands are taken in band-index order; their pair lists are
+    concatenated then sorted, and their statistics merged into
+    ``stats`` with band CPU time under the ``bands`` timer (wall clock
+    stays the caller's ``total``). The banded drivers fold what they
+    just executed and :func:`repro.core.merge.merge_run` folds what a
+    run directory holds, so both return the same outcome byte for byte.
+    """
+    pairs: list[JoinPair] = []
+    for _, band_pairs, band_stats in sorted(results, key=lambda r: r[0]):
+        pairs.extend(band_pairs)
+        stats.timer("bands").add(band_stats.seconds("total"))
+        stats.merge(band_stats)
+    pairs.sort()
+    stats.result_pairs = len(pairs)
+    return JoinOutcome(pairs=pairs, stats=stats)
 
 
 def read_manifest_document(path: Path) -> dict[str, Any]:
@@ -160,7 +177,7 @@ class CheckpointStore:
             "shards": shards,
             "strings": strings,
         }
-        _atomic_write_bytes(
+        atomic_write_bytes(
             manifest, json.dumps(payload, indent=2).encode("utf-8")
         )
 
@@ -188,7 +205,7 @@ class CheckpointStore:
         self, band_index: int, pairs: list[JoinPair], stats: JoinStatistics
     ) -> None:
         """Atomically persist one completed band's result."""
-        _atomic_write_bytes(
+        atomic_write_bytes(
             self.band_path(band_index),
             pickle.dumps(self._document(band_index, pairs, stats)),
         )
@@ -340,7 +357,7 @@ class ShardCheckpointStore(CheckpointStore):
             "bands": bands,
             "owned": owned,
         }
-        _atomic_write_bytes(
+        atomic_write_bytes(
             manifest, json.dumps(payload, indent=2).encode("utf-8")
         )
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Literal
 
 from repro.core.backends import BACKEND_NAMES
-from repro.core.dispatch import parse_shard
 from repro.core.errors import ConfigurationError
 from repro.filters.alpha import GroupMode
 from repro.partition.selection import SELECTION_MODES, SelectionMode
@@ -33,6 +32,52 @@ ALGORITHMS: dict[str, tuple[FilterName, ...]] = {
 }
 
 _VALID_FILTERS = ("qgram", "frequency", "cdf")
+
+
+def parse_shard(spec: str) -> tuple[int, int]:
+    """Parse a ``"i/N"`` shard spec into ``(shard_index, shard_count)``.
+
+    Raises :class:`ConfigurationError` for anything that is not
+    ``i/N`` with integer ``0 <= i < N`` and ``N >= 1``.
+    """
+    head, sep, tail = spec.partition("/")
+    if not sep or not head.isdigit() or not tail.isdigit():
+        raise ConfigurationError(
+            f"shard spec must look like 'i/N' (e.g. '0/3'), got {spec!r}"
+        )
+    index, count = int(head), int(tail)
+    if count < 1:
+        raise ConfigurationError(
+            f"shard count must be >= 1, got {count} in {spec!r}"
+        )
+    if index >= count:
+        raise ConfigurationError(
+            f"shard index must be in [0, {count}), got {index} in {spec!r}"
+        )
+    return index, count
+
+
+def shard_slice(total: int, shard_index: int, shard_count: int) -> range:
+    """Band indices owned by shard ``shard_index`` of ``shard_count``.
+
+    Contiguous, deterministic, and an exact partition: for any ``total``
+    and ``shard_count``, the ``shard_count`` ranges are disjoint and
+    their union is ``range(total)``, with sizes differing by at most
+    one. Depends only on its arguments, so every participant in a
+    sharded run — and the merge — computes identical ownership.
+    """
+    if shard_count < 1:
+        raise ConfigurationError(
+            f"shard count must be >= 1, got {shard_count}"
+        )
+    if not 0 <= shard_index < shard_count:
+        raise ConfigurationError(
+            f"shard index must be in [0, {shard_count}), got {shard_index}"
+        )
+    return range(
+        shard_index * total // shard_count,
+        (shard_index + 1) * total // shard_count,
+    )
 
 
 @dataclass(frozen=True)
@@ -88,12 +133,13 @@ class JoinConfig:
         Testing/benchmark hook; ``None`` (default) injects nothing and
         injection never changes results.
     shard:
-        ``"i/N"`` to run as shard ``i`` of an ``N``-way sharded join
-        (:class:`repro.core.dispatch.ShardBackend`): this invocation
-        executes only its contiguous slice of the band plan and
-        persists it under ``checkpoint_dir/shard-i/``; a later
-        ``repro-join merge`` folds the N shard directories into the
-        final result. Requires ``checkpoint_dir``. ``None`` (default)
+        ``"i/N"`` to run as shard ``i`` of an ``N``-way sharded join:
+        this invocation executes only its contiguous slice
+        (:func:`shard_slice`) of the band plan, with the fault plan
+        narrowed to shard ``i``, and persists it under
+        ``checkpoint_dir/shard-i/``; a later ``repro-join merge``
+        folds the N shard directories into the final result.
+        Requires ``checkpoint_dir``. ``None`` (default)
         runs the whole plan. Not fingerprinted: every shard of one run
         (and the merge) shares one fingerprint.
     mp_start:

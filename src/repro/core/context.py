@@ -120,9 +120,10 @@ class CollectionContext:
     Features of non-negative ids are computed at most once and persist
     for the context's lifetime; negative pseudo-ids (transient queries)
     always yield a fresh object the caller owns. The context is what
-    the parallel driver publishes to workers — build it eagerly with
-    :meth:`for_collection` so forked/spawned workers inherit finished
-    profiles instead of rebuilding halo strings per band.
+    the parallel driver publishes to workers — it builds it eagerly with
+    :meth:`for_ids` (the strings its bands touch) so forked/spawned
+    workers inherit finished profiles instead of rebuilding halo
+    strings per band.
     """
 
     __slots__ = ("_features",)

@@ -33,11 +33,17 @@ Fault injection (:mod:`repro.util.faults`) hooks into the single
 ``_band_call`` wrapper every execution path shares, so the same
 deterministic plan exercises the pool path, the in-process path, the
 retry loop, and degradation.
+
+:func:`run_bands` is the only way bands execute. It picks the pool or
+the in-process loop from ``workers`` and the pending band count; the
+banded drivers in :mod:`repro.core.parallel` call it directly, after
+taking their shard's slice of the plan and narrowing the fault plan
+to that shard.
 """
 
 from __future__ import annotations
 
-import hashlib
+import os
 import signal
 import threading
 import time
@@ -48,19 +54,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-# Checkpoint persistence lives in repro.core.checkpoint; the re-exports
-# keep the historical ``from repro.core.executor import CheckpointStore``
-# import path working.
-from repro.core.checkpoint import (  # noqa: F401  (compat re-exports)
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
-    BandResult,
-    CheckpointStore,
-    ShardCheckpointStore,
-    _atomic_write_bytes,
-)
+from repro.core.checkpoint import BandResult, CheckpointStore
 from repro.core.deadline import Deadline, deadline_scope
-from repro.core.dispatch import BandTask, effective_pool_width
 from repro.core.errors import (
     BandTimeoutError,
     ConfigurationError,
@@ -71,8 +66,25 @@ from repro.core.errors import (
 from repro.core.stats import JoinStatistics
 from repro.util.faults import FaultPlan, inject
 
+#: A band task: module-level callable (pool-picklable) payload -> result.
+BandTask = Callable[[Any], BandResult]
+
 #: Sentinel head of the garbage tuple a ``corrupt`` fault returns.
 _CORRUPT_SENTINEL = "__corrupt-band-result__"
+
+
+def effective_pool_width(workers: int, pending: int) -> int:
+    """The process-pool width actually used for ``pending`` bands.
+
+    Band count and ``workers`` set the ceiling; the host CPU count
+    clamps it. Extra processes on an oversubscribed host buy no
+    parallelism for CPU-bound bands — only fork and scheduling
+    overhead. This clamp is *runtime-only*: the band plan (and hence
+    results and checkpoint fingerprints) stays keyed to ``workers``, so
+    resuming on a host with fewer cores than ``--workers`` still
+    fingerprint-matches the original run.
+    """
+    return max(1, min(workers, pending, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -86,14 +98,6 @@ class RetryPolicy:
     Backoff before re-dispatch ``n`` (1-based) is
     ``backoff * backoff_factor ** (n - 1)`` seconds; ``sleep`` is
     injectable so tests can run the schedule without waiting.
-
-    ``jitter`` desynchronizes bands that failed for a shared cause
-    (e.g. a briefly unreachable resource) and would otherwise hammer it
-    again in lockstep: each band's backoff is stretched by up to
-    ``jitter`` of itself, by a *deterministic* fraction keyed on
-    ``(jitter_seed, band_index, attempt)`` — runs stay reproducible,
-    and re-runs of a flaky band follow the identical schedule. The
-    default ``jitter=0.0`` preserves the historical exact timings.
     """
 
     retries: int = 2
@@ -101,8 +105,6 @@ class RetryPolicy:
     backoff: float = 0.05
     backoff_factor: float = 2.0
     sleep: Callable[[float], None] = time.sleep
-    jitter: float = 0.0
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -118,31 +120,10 @@ class RetryPolicy:
                 "backoff must be >= 0 and backoff_factor >= 1, got "
                 f"{self.backoff}/{self.backoff_factor}"
             )
-        if self.jitter < 0:
-            raise ConfigurationError(
-                f"jitter must be non-negative, got {self.jitter}"
-            )
 
-    def jitter_fraction(self, band_index: int, attempt: int) -> float:
-        """Deterministic uniform-ish fraction in ``[0, 1)`` per retry.
-
-        Hash-derived (sha256 of ``seed:band:attempt``) rather than
-        ``random``-derived so the value depends only on its key — no
-        global RNG state, identical across processes and re-runs.
-        """
-        digest = hashlib.sha256(
-            f"{self.jitter_seed}:{band_index}:{attempt}".encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
-
-    def delay(self, attempt: int, band_index: int = 0) -> float:
+    def delay(self, attempt: int) -> float:
         """Backoff before re-dispatching after failed 0-based ``attempt``."""
-        base = self.backoff * self.backoff_factor**attempt
-        if self.jitter == 0.0:
-            return base
-        return base * (
-            1.0 + self.jitter * self.jitter_fraction(band_index, attempt)
-        )
+        return self.backoff * self.backoff_factor**attempt
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +274,7 @@ def _finish_in_process(
             _record_failure(exc, stats)
         if attempt < policy.retries:
             stats.record("fault", "retried")
-            policy.sleep(policy.delay(attempt, band_index))
+            policy.sleep(policy.delay(attempt))
     stats.record("fault", "degraded")
     return _degraded_run(task, band_index, payload, policy, faults)
 
@@ -399,10 +380,7 @@ def _run_pool_rounds(
         pool.shutdown(wait=False, cancel_futures=True)
         if next_queue:
             policy.sleep(
-                max(
-                    policy.delay(attempt - 1, band_index)
-                    for band_index, _, attempt in next_queue
-                )
+                max(policy.delay(attempt - 1) for _, _, attempt in next_queue)
             )
         queue = next_queue
 
@@ -412,7 +390,6 @@ def run_bands(
     payloads: Sequence[tuple[int, Any]],
     *,
     workers: int,
-    use_processes: bool = True,
     policy: RetryPolicy | None = None,
     stats: JoinStatistics | None = None,
     faults: FaultPlan | None = None,
@@ -429,6 +406,10 @@ def run_bands(
     executed (counted as ``fault.resumed``) and every freshly completed
     band is persisted before the next one is awaited, so a killed run
     loses at most the bands still in flight.
+
+    A process pool runs the bands only when ``workers > 1`` and more
+    than one band is pending; otherwise every band runs in-process with
+    the same retry, fault and checkpoint semantics.
 
     ``initializer``/``initargs``/``mp_context`` are forwarded to every
     :class:`ProcessPoolExecutor` the pool path builds (including pools
@@ -466,7 +447,7 @@ def run_bands(
         else:
             pending.append((band_index, payload))
 
-    if use_processes and workers > 1 and len(pending) > 1:
+    if workers > 1 and len(pending) > 1:
         _run_pool_rounds(
             task,
             pending,

@@ -33,10 +33,10 @@ def similarity_join(
 
     With ``config.workers > 1`` or a ``config.checkpoint_dir`` set the
     work is delegated to the length-banded parallel driver
-    (:mod:`repro.core.parallel`) under a pluggable execution backend
-    (:mod:`repro.core.dispatch`: serial, process pool, or ``--shard``
-    slice) with the fault-tolerant band executor's retries, timeouts,
-    and checkpoint/resume; the pair list is identical either way. In
+    (:mod:`repro.core.parallel`), which runs its bands — all of them,
+    or one ``--shard`` slice — in-process or on a process pool under
+    the fault-tolerant band executor's retries, timeouts, and
+    checkpoint/resume; the pair list is identical either way. In
     shard mode (``config.shard``) the outcome holds only that shard's
     pairs — :func:`repro.core.merge.merge_run` folds the shards.
 

@@ -34,8 +34,7 @@ def similarity_join_two(
 
     With ``config.workers > 1`` or a ``config.checkpoint_dir`` set the
     right collection is sharded into length bands by
-    :mod:`repro.core.parallel` under a pluggable execution backend
-    (:mod:`repro.core.dispatch`) with the fault-tolerant band
+    :mod:`repro.core.parallel` and run under the fault-tolerant band
     executor; the pair list is identical either way. In shard mode
     (``config.shard``) the outcome holds only that shard's pairs —
     :func:`repro.core.merge.merge_run` folds the shards.

@@ -1,13 +1,13 @@
 """Fold a (sharded or flat) checkpoint run directory into one result.
 
-The counterpart of :class:`~repro.core.dispatch.ShardBackend`: after N
+The counterpart of shard mode in :mod:`repro.core.parallel`: after N
 independent invocations (``repro-join join --shard i/N --resume DIR``)
 have each persisted their slice of the band plan,
 :func:`merge_run` reads the shared ``run.json``, validates every
-shard's manifest and checkpoints, and folds the band results exactly
-the way the single-process driver folds them — same pair ordering,
-same statistics merge — so the merged outcome is byte-identical to a
-serial run of the same join.
+shard's manifest and checkpoints, and folds the band results with the
+single-process driver's own fold
+(:func:`~repro.core.checkpoint.fold_bands`) — so the merged outcome is
+byte-identical to a serial run of the same join.
 
 Merge invariants, each enforced loudly:
 
@@ -38,6 +38,7 @@ from repro.core.checkpoint import (
     BandResult,
     CheckpointStore,
     ShardCheckpointStore,
+    fold_bands,
     read_manifest_document,
 )
 from repro.core.errors import (
@@ -45,7 +46,7 @@ from repro.core.errors import (
     CheckpointMismatchError,
     ShardIncompleteError,
 )
-from repro.core.results import JoinOutcome, JoinPair
+from repro.core.results import JoinOutcome
 from repro.core.stats import JoinStatistics
 
 
@@ -144,12 +145,11 @@ def merge_run(run_dir: str | Path) -> JoinOutcome:
     """Fold a completed run directory into the final :class:`JoinOutcome`.
 
     ``run_dir`` is the directory all shards were pointed at (or a flat
-    ``--resume`` directory). The fold replicates the parallel driver's:
-    per-band pair lists concatenated then sorted, band statistics
-    merged (band CPU time aggregated under the ``bands`` timer),
-    ``result_pairs``/``total_strings`` set from the merged whole — so
-    the outcome equals what one process running every band would have
-    returned, byte for byte.
+    ``--resume`` directory). The band results go through the parallel
+    driver's fold (:func:`~repro.core.checkpoint.fold_bands`) and
+    ``total_strings`` comes from ``run.json`` — so the outcome equals
+    what one process running every band would have returned, byte for
+    byte. A run over empty input has zero bands and merges to no pairs.
     """
     root = Path(run_dir)
     manifest = root / "run.json"
@@ -182,13 +182,6 @@ def merge_run(run_dir: str | Path) -> JoinOutcome:
         raise CheckpointCorruptError(
             str(manifest), f"malformed shards field {shards!r}"
         )
-    results.sort(key=lambda result: result[0])
-    pairs: list[JoinPair] = []
-    for _, band_pairs, band_stats in results:
-        pairs.extend(band_pairs)
-        stats.timer("bands").add(band_stats.seconds("total"))
-        stats.merge(band_stats)
-    pairs.sort()
-    stats.result_pairs = len(pairs)
+    outcome = fold_bands(results, stats)
     total_timer.stop()
-    return JoinOutcome(pairs=pairs, stats=stats)
+    return outcome

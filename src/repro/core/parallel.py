@@ -31,6 +31,13 @@ the same pairs.
 The R×S join shards the same way over the indexed (right) collection;
 there each pair has exactly one right string, so band ownership of the
 right string makes pairs unique without a discard step.
+
+Both drivers run one scaffold: plan, take the shard's slice (the whole
+plan when not sharded), open the checkpoint, publish shared state,
+:func:`~repro.core.executor.run_bands`, and
+:func:`~repro.core.checkpoint.fold_bands`. A driver supplies only its
+lengths and halo, fingerprint kind and content, what it publishes, its
+band task and payload fields, and its serial fallback.
 """
 
 from __future__ import annotations
@@ -42,12 +49,16 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.core.checkpoint import CheckpointStore, ShardCheckpointStore
-from repro.core.config import JoinConfig
+from repro.core import executor
+from repro.core.checkpoint import (
+    CheckpointStore,
+    ShardCheckpointStore,
+    fold_bands,
+)
+from repro.core.config import JoinConfig, shard_slice
 from repro.core.context import CollectionContext
-from repro.core.dispatch import resolve_execution_backend, shard_slice
 from repro.core.errors import ConfigurationError
-from repro.core.executor import RetryPolicy
+from repro.core.executor import BandTask, RetryPolicy
 from repro.core.join import similarity_join
 from repro.core.join_two import probe_join, similarity_join_two
 from repro.core.results import JoinOutcome, JoinPair
@@ -178,25 +189,23 @@ def _pool_publication(
     token: int,
     collections: tuple[Any, ...],
     contexts: tuple[Any, ...],
-    mp_context: Any,
+    mp_start: "str | None",
 ) -> dict[str, Any]:
     """Publish shared state in-parent; return pool kwargs for run_bands.
 
-    The in-process execution paths (``use_processes=False``, retry
-    degradation) read the parent's module global directly; pool workers
-    get it via fork inheritance or the initializer, never per band.
+    The in-process execution paths (``workers=1``, retry degradation)
+    read the parent's module global directly; pool workers get it via
+    fork inheritance or the initializer, never per band.
     """
     _publish_shared(token, collections, contexts)
-    method = (
-        mp_context.get_start_method()
-        if mp_context is not None
-        else multiprocessing.get_start_method()
-    )
+    method = mp_start or multiprocessing.get_start_method()
     state = None if method == "fork" else (collections, contexts)
     return {
         "initializer": _worker_init,
         "initargs": (token, state),
-        "mp_context": mp_context,
+        "mp_context": (
+            None if mp_start is None else multiprocessing.get_context(mp_start)
+        ),
     }
 
 
@@ -287,7 +296,7 @@ def _two_join_band(
 
 
 # ----------------------------------------------------------------------
-# resilience wiring
+# the banded run
 # ----------------------------------------------------------------------
 
 
@@ -339,58 +348,141 @@ def _collection_content(
         yield b"\x00"
 
 
-def _resilience(
-    config: JoinConfig,
-    policy: RetryPolicy | None,
-    faults: FaultPlan | None,
-    run_dir: "str | None",
-) -> tuple[RetryPolicy, FaultPlan, "str | None"]:
-    """Resolve executor knobs: explicit arguments win over config fields."""
-    if policy is None:
-        policy = RetryPolicy(
-            retries=config.retries, timeout=config.band_timeout
-        )
-    if faults is None:
-        faults = FaultPlan.from_spec(config.fault_spec)
-    if run_dir is None:
-        run_dir = config.checkpoint_dir
-    return policy, faults, run_dir
-
-
 def _open_checkpoint(
-    run_dir: "str | None",
+    config: JoinConfig,
     fingerprint: Callable[[], str],
     bands: Sequence[LengthBand],
-    shard: "tuple[int, int] | None",
+    owned: range,
     strings: int,
 ) -> "CheckpointStore | None":
     """Open the run's checkpoint store (``None`` without a run dir).
 
     Flat layout for plain checkpointed runs; partitioned
-    (:class:`ShardCheckpointStore`) when ``shard`` coordinates are
-    given — then the shared ``run.json`` additionally pins the shard
-    count and input size, and this shard's manifest records exactly the
-    band indices it owns. ``fingerprint`` is only called when there is
-    a run directory to check it against.
+    (:class:`ShardCheckpointStore`) in shard mode — then the shared
+    ``run.json`` additionally pins the shard count and input size, and
+    this shard's manifest records its ``owned`` band indices.
+    A zero-band plan (empty input) still opens the directory, so its
+    merge finds a manifest. ``fingerprint`` is only called when there
+    is a run directory to check it against.
     """
+    run_dir = config.checkpoint_dir
     if run_dir is None:
         return None
+    shard = config.shard_coordinates
     if shard is None:
         store = CheckpointStore(run_dir)
         store.open(fingerprint(), len(bands), strings=strings)
         return store
-    shard_index, shard_count = shard
-    shard_store = ShardCheckpointStore(run_dir, shard_index, shard_count)
-    owned = list(shard_slice(len(bands), shard_index, shard_count))
-    shard_store.open_shard(fingerprint(), len(bands), owned, strings=strings)
+    shard_store = ShardCheckpointStore(run_dir, *shard)
+    shard_store.open_shard(
+        fingerprint(), len(bands), list(owned), strings=strings
+    )
     return shard_store
 
 
-def _resolve_mp_context(config: JoinConfig, mp_context: Any) -> Any:
-    """An explicit ``mp_context`` wins; else honor ``config.mp_start``."""
-    if mp_context is not None or config.mp_start is None:
-        return mp_context
-    return multiprocessing.get_context(config.mp_start)
+#: What a driver publishes to its band tasks, built from the bands this
+#: run owns: ``(collections, feature contexts)`` for the shared state.
+_Publish = Callable[
+    [Sequence[LengthBand], JoinStatistics],
+    tuple[tuple[Any, ...], tuple[Any, ...]],
+]
+
+
+def _run_banded(
+    config: JoinConfig,
+    *,
+    kind: str,
+    content: Iterable[bytes],
+    lengths: Sequence[int],
+    halo: int,
+    strings: int,
+    publish: _Publish,
+    band_fields: Callable[[LengthBand], tuple[Any, Any]],
+    task: BandTask,
+    serial: Callable[[JoinConfig], JoinOutcome],
+    use_processes: bool,
+    min_parallel: int,
+    policy: RetryPolicy | None,
+) -> JoinOutcome:
+    """The one banded run both drivers share.
+
+    Plans ``config.workers × N`` bands over ``lengths`` (``N`` = shard
+    count, 1 when not sharded) with a ``halo``-wide overlap, takes this
+    run's slice of them, opens the checkpoint, publishes the shared
+    state for the owned bands, executes them under
+    :func:`~repro.core.executor.run_bands` and folds the results. Band
+    payloads are ``(band index, token, *band_fields(band), config)``.
+
+    Without a run directory, small inputs (``strings < min_parallel``),
+    ``workers == 1`` and single-band plans take ``serial`` instead.
+    With one, every run goes through the bands — even a zero-band plan
+    over empty input — so the directory always holds a mergeable run.
+    """
+    serial_config = replace(
+        config,
+        workers=1,
+        checkpoint_dir=None,
+        fault_spec=None,
+        shard=None,
+        mp_start=None,
+    )
+    checkpointing = config.checkpoint_dir is not None
+    if not checkpointing and (config.workers <= 1 or strings < min_parallel):
+        return serial(serial_config)
+    # Every shard plans the full run: `workers` bands per shard, so the
+    # plan (and the fingerprint over it) is a function of (input, k,
+    # workers, N) that all N invocations and the merge agree on.
+    shard = config.shard_coordinates
+    plan_workers = config.workers * (shard[1] if shard is not None else 1)
+    bands = plan_length_bands(lengths, plan_workers, halo)
+    if not checkpointing and len(bands) <= 1:
+        return serial(serial_config)
+    if policy is None:
+        policy = RetryPolicy(
+            retries=config.retries, timeout=config.band_timeout
+        )
+    faults = FaultPlan.from_spec(config.fault_spec)
+    owned = range(len(bands))
+    if shard is not None:
+        owned = shard_slice(len(bands), *shard)
+        # `crash@s1:2` specs fire only inside shard 1; band indices
+        # stay global.
+        faults = faults.narrowed(shard[0])
+    owned_bands = [bands[position] for position in owned]
+
+    checkpoint = _open_checkpoint(
+        config,
+        lambda: _join_fingerprint(kind, config, bands, content),
+        bands,
+        owned,
+        strings,
+    )
+    stats = JoinStatistics(total_strings=strings)
+    total_timer = stats.timer("total").start()
+    token = next(_TOKENS)
+    collections, contexts = publish(owned_bands, stats)
+    pool_kwargs = _pool_publication(
+        token, collections, contexts, config.mp_start
+    )
+    payloads = [
+        (band.index, (band.index, token, *band_fields(band), serial_config))
+        for band in owned_bands
+    ]
+    if shard is not None:
+        stats.record("shard", "owned", len(payloads))
+    results = executor.run_bands(
+        task,
+        payloads,
+        workers=config.workers if use_processes else 1,
+        policy=policy,
+        stats=stats,
+        faults=faults,
+        checkpoint=checkpoint,
+        **pool_kwargs,
+    )
+    outcome = fold_bands(results, stats)
+    total_timer.stop()
+    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -398,45 +490,40 @@ def _resolve_mp_context(config: JoinConfig, mp_context: Any) -> Any:
 # ----------------------------------------------------------------------
 
 
+def _needed_ids(
+    bands: Iterable[LengthBand], ids: Callable[[LengthBand], Iterable[int]]
+) -> list[int]:
+    """Sorted union of ``ids(band)`` over ``bands``: what they touch."""
+    return sorted({string_id for band in bands for string_id in ids(band)})
+
+
 def _publish_collection(
     collection: Sequence[UncertainString],
     config: JoinConfig,
-    shard: "tuple[int, int] | None",
-    bands: Sequence[LengthBand],
+    owned: Sequence[LengthBand],
     stats: JoinStatistics,
-) -> tuple[Any, CollectionContext]:
-    """What an in-memory self-join publishes to its band tasks: the
-    strings and their features, computed once here in the parent.
+) -> tuple[tuple[Any, ...], tuple[Any, ...]]:
+    """What an in-memory collection publishes to its band tasks (the
+    R×S join's right side too): the strings its owned bands touch
+    (members + halo) and their features, computed once in the parent.
 
-    A shard publishes only what its bands can touch (owned + halo), so
-    its memory footprint tracks the shard, not the whole collection.
-    Band tasks index the shared strings by global id, so a dict keyed
-    by the needed ids is a drop-in.
+    A shard thus publishes only its part, so its memory footprint
+    tracks the shard, not the whole collection. Band tasks index the
+    shared strings by global id, so a dict keyed by the needed ids
+    stands in for the collection.
     """
-    if shard is None:
-        shared: Any = tuple(collection)
-        with stats.timer("features"):
-            context = CollectionContext.for_collection(
-                shared, build_profiles=config.uses_frequency
-            )
-        return shared, context
-    needed = sorted(
-        {
-            string_id
-            for band_position in shard_slice(len(bands), *shard)
-            for string_id in bands[band_position].member_ids
-        }
-    )
+    needed = _needed_ids(owned, lambda band: band.member_ids)
     with stats.timer("features"):
         context = CollectionContext.for_ids(
             collection, needed, build_profiles=config.uses_frequency
         )
-    return {string_id: collection[string_id] for string_id in needed}, context
+    shared = {string_id: collection[string_id] for string_id in needed}
+    return (shared,), (context,)
 
 
 def _publish_store(
-    store: Any, bands: Sequence[LengthBand], stats: JoinStatistics
-) -> tuple[Any, CollectionContext]:
+    store: Any, owned: Sequence[LengthBand], stats: JoinStatistics
+) -> tuple[tuple[Any, ...], tuple[Any, ...]]:
     """What a store-backed self-join publishes: one shared store for
     every band, worker, and shard, whatever the plan. The collection
     pickles as the store path, and band tasks bulk-hydrate their
@@ -446,23 +533,7 @@ def _publish_store(
     """
     from repro.store.source import StoreCollection
 
-    return StoreCollection(store), CollectionContext()
-
-
-def _fold_bands(
-    results: Iterable[tuple[int, list[JoinPair], JoinStatistics]],
-    stats: JoinStatistics,
-) -> JoinOutcome:
-    """Merge band results into one sorted outcome."""
-    pairs: list[JoinPair] = []
-    for _, band_pairs, band_stats in results:
-        pairs.extend(band_pairs)
-        # Aggregate band CPU time under its own stage; wall clock is ours.
-        stats.timer("bands").add(band_stats.seconds("total"))
-        stats.merge(band_stats)
-    pairs.sort()
-    stats.result_pairs = len(pairs)
-    return JoinOutcome(pairs=pairs, stats=stats)
+    return (StoreCollection(store),), (CollectionContext(),)
 
 
 def parallel_similarity_join(
@@ -472,9 +543,6 @@ def parallel_similarity_join(
     min_parallel: int = MIN_PARALLEL_STRINGS,
     *,
     policy: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    run_dir: str | None = None,
-    mp_context: Any = None,
     store: Any = None,
 ) -> JoinOutcome:
     """Length-banded parallel self-join under the fault-tolerant executor.
@@ -497,9 +565,9 @@ def parallel_similarity_join(
     Store runs plan from the store's length bookkeeping and fingerprint
     the store's content digest, so neither hydrates the collection.
 
-    ``policy``/``faults``/``run_dir`` override the corresponding
-    ``config`` fields (``retries``/``band_timeout``, ``fault_spec``,
-    ``checkpoint_dir``). With a run directory, completed bands are
+    Execution settings come from ``config``: ``retries``/``band_timeout``
+    (unless ``policy`` is given), ``fault_spec``, ``mp_start``, and
+    ``checkpoint_dir``. With a run directory, completed bands are
     atomically persisted there and a re-run over the same inputs loads
     them instead of recomputing (the serial fast paths are skipped so
     every run of a checkpointed join goes through the bands).
@@ -507,40 +575,22 @@ def parallel_similarity_join(
     ``use_processes=False`` runs the band tasks in-process (same sharded
     code path, retry/fault semantics, and results; no pool); inputs
     smaller than ``min_parallel`` or yielding a single band take the
-    serial driver directly unless checkpointing is on. ``mp_context``
-    selects the multiprocessing start method (``None`` = platform
-    default); results are identical under fork and spawn.
+    serial driver directly unless checkpointing is on. Results are
+    identical under every start method.
 
     With ``config.shard = "i/N"`` the run executes only shard ``i``'s
-    contiguous slice of an ``N × workers``-band plan
-    (:class:`~repro.core.dispatch.ShardBackend`), persists it under
-    ``run_dir/shard-i/``, and publishes/features only the strings that
-    slice can touch; the returned outcome holds just this shard's pairs
-    — :func:`repro.core.merge.merge_run` folds the N shard directories
-    into the full, serial-identical result.
+    contiguous slice of an ``N × workers``-band plan, persists it under
+    ``checkpoint_dir/shard-i/``, and publishes/features only the strings
+    that slice can touch; the returned outcome holds just this shard's
+    pairs — :func:`repro.core.merge.merge_run` folds the N shard
+    directories into the full, serial-identical result.
     """
-    serial_config = replace(
-        config,
-        workers=1,
-        checkpoint_dir=None,
-        fault_spec=None,
-        shard=None,
-        mp_start=None,
-    )
-    policy, faults, run_dir = _resilience(config, policy, faults, run_dir)
-    mp_context = _resolve_mp_context(config, mp_context)
-    shard = config.shard_coordinates
-    checkpointing = run_dir is not None
-    # Everything that depends on the kind of input is settled here; the
-    # plan, checkpoint, executor and fold below are shared.
     if (collection is None) == (store is None):
         raise ConfigurationError(
             "parallel_similarity_join needs exactly one of collection or store"
         )
-    serial: Callable[[], JoinOutcome]
-    publish: Callable[
-        [Sequence[LengthBand], JoinStatistics], tuple[Any, CollectionContext]
-    ]
+    serial: Callable[[JoinConfig], JoinOutcome]
+    publish: _Publish
     content: Iterable[bytes]
     if store is not None:
         from repro.store.driver import _serial_store_join
@@ -551,7 +601,7 @@ def parallel_similarity_join(
             store.ids_in_visit_order(), store.lengths_in_visit_order()
         ):
             lengths[string_id] = length
-        serial = partial(_serial_store_join, store, serial_config)
+        serial = partial(_serial_store_join, store)
         publish = partial(_publish_store, store)
         # The store's digest already hashes the exact serialized
         # strings. The ``store:`` prefix keeps store and in-memory
@@ -562,57 +612,25 @@ def parallel_similarity_join(
     else:
         assert collection is not None
         lengths = [len(string) for string in collection]
-        serial = partial(similarity_join, collection, serial_config)
-        publish = partial(_publish_collection, collection, config, shard)
+        serial = partial(similarity_join, collection)
+        publish = partial(_publish_collection, collection, config)
         kind = "self"
         content = _collection_content(collection)
-
-    if not checkpointing and (
-        config.workers <= 1 or len(lengths) < min_parallel
-    ):
-        return serial()
-    # Every shard plans the full run: `workers` bands per shard, so the
-    # plan (and the fingerprint over it) is a function of (input, k,
-    # workers, N) that all N invocations and the merge agree on.
-    plan_workers = config.workers * (shard[1] if shard is not None else 1)
-    bands = plan_length_bands(lengths, plan_workers, config.k)
-    if not bands or (len(bands) <= 1 and not checkpointing):
-        return serial()
-
-    checkpoint = _open_checkpoint(
-        run_dir,
-        lambda: _join_fingerprint(kind, config, bands, content),
-        bands,
-        shard,
+    return _run_banded(
+        config,
+        kind=kind,
+        content=content,
+        lengths=lengths,
+        halo=config.k,
         strings=len(lengths),
-    )
-    stats = JoinStatistics(total_strings=len(lengths))
-    total_timer = stats.timer("total").start()
-    token = next(_TOKENS)
-    shared, context = publish(bands, stats)
-    pool_kwargs = _pool_publication(token, (shared,), (context,), mp_context)
-    payloads = [
-        (
-            band.index,
-            (band.index, token, band.member_ids, band.high, serial_config),
-        )
-        for band in bands
-    ]
-    backend = resolve_execution_backend(
-        workers=config.workers, use_processes=use_processes, shard=shard
-    )
-    results = backend.execute(
-        _self_join_band,
-        payloads,
+        publish=publish,
+        band_fields=lambda band: (band.member_ids, band.high),
+        task=_self_join_band,
+        serial=serial,
+        use_processes=use_processes,
+        min_parallel=min_parallel,
         policy=policy,
-        stats=stats,
-        faults=faults,
-        checkpoint=checkpoint,
-        **pool_kwargs,
     )
-    outcome = _fold_bands(results, stats)
-    total_timer.stop()
-    return outcome
 
 
 def parallel_similarity_join_two(
@@ -623,9 +641,6 @@ def parallel_similarity_join_two(
     min_parallel: int = MIN_PARALLEL_STRINGS,
     *,
     policy: RetryPolicy | None = None,
-    faults: FaultPlan | None = None,
-    run_dir: str | None = None,
-    mp_context: Any = None,
 ) -> JoinOutcome:
     """Length-banded parallel R×S join under the fault-tolerant executor.
 
@@ -634,112 +649,45 @@ def parallel_similarity_join_two(
     strings whose length is within ``k`` of the band's owned range.
     Every right string lives in exactly one band, so each pair is
     produced exactly once and the merged, sorted pair list is identical
-    to :func:`repro.core.join_two.similarity_join_two`. Resilience
-    knobs, sharding, and worker-state publication behave exactly as in
-    :func:`parallel_similarity_join`; only the right collection gets a
-    shared feature context (left strings probe as transient queries).
+    to :func:`repro.core.join_two.similarity_join_two`. Execution
+    settings, sharding, and worker-state publication behave exactly as
+    in :func:`parallel_similarity_join`; only the right collection gets
+    a shared feature context (left strings probe as transient queries).
     A resumed run re-indexes only the bands without a checkpoint.
     """
-    serial_config = replace(
-        config,
-        workers=1,
-        checkpoint_dir=None,
-        fault_spec=None,
-        shard=None,
-        mp_start=None,
-    )
-    policy, faults, run_dir = _resilience(config, policy, faults, run_dir)
-    mp_context = _resolve_mp_context(config, mp_context)
-    shard = config.shard_coordinates
-    checkpointing = run_dir is not None
-    if not checkpointing and (
-        config.workers <= 1 or len(left) + len(right) < min_parallel
-    ):
-        return similarity_join_two(left, right, serial_config)
-    if not left or not right:
-        return similarity_join_two(left, right, serial_config)
-    right_lengths = [len(string) for string in right]
-    plan_workers = config.workers * (shard[1] if shard is not None else 1)
-    bands = plan_length_bands(right_lengths, plan_workers, 0)
-    if len(bands) <= 1 and not checkpointing:
-        return similarity_join_two(left, right, serial_config)
+    left_lengths = [len(string) for string in left]
 
-    checkpoint = _open_checkpoint(
-        run_dir,
-        lambda: _join_fingerprint(
-            "two", config, bands, _collection_content(left, right)
-        ),
-        bands,
-        shard,
-        strings=len(left) + len(right),
-    )
-    stats = JoinStatistics(total_strings=len(left) + len(right))
-    total_timer = stats.timer("total").start()
-    token = next(_TOKENS)
-    shared_left: Any = tuple(left)
-    shared_right: Any = tuple(right)
-    eligible_by_band: dict[int, tuple[int, ...]] = {}
-    for band in bands:
-        eligible_by_band[band.index] = tuple(
+    def eligible(band: LengthBand) -> tuple[int, ...]:
+        return tuple(
             left_id
-            for left_id, string in enumerate(left)
-            if band.low - config.k <= len(string) <= band.high + config.k
+            for left_id, length in enumerate(left_lengths)
+            if band.low - config.k <= length <= band.high + config.k
         )
-    if shard is not None:
-        owned_bands = set(shard_slice(len(bands), *shard))
-        needed_left = sorted(
-            {
-                left_id
-                for band_position in owned_bands
-                for left_id in eligible_by_band[bands[band_position].index]
-            }
+
+    def publish(
+        owned: Sequence[LengthBand], stats: JoinStatistics
+    ) -> tuple[tuple[Any, ...], tuple[Any, ...]]:
+        (shared_right,), contexts = _publish_collection(
+            right, config, owned, stats
         )
-        needed_right = sorted(
-            {
-                right_id
-                for band_position in owned_bands
-                for right_id in bands[band_position].member_ids
-            }
-        )
-        shared_left = {left_id: left[left_id] for left_id in needed_left}
-        shared_right = {right_id: right[right_id] for right_id in needed_right}
-        with stats.timer("features"):
-            right_context = CollectionContext.for_ids(
-                right, needed_right, build_profiles=config.uses_frequency
-            )
-    else:
-        with stats.timer("features"):
-            right_context = CollectionContext.for_collection(
-                shared_right, build_profiles=config.uses_frequency
-            )
-    pool_kwargs = _pool_publication(
-        token, (shared_left, shared_right), (right_context,), mp_context
-    )
-    payloads = [
-        (
-            band.index,
-            (
-                band.index,
-                token,
-                eligible_by_band[band.index],
-                band.member_ids,
-                serial_config,
-            ),
-        )
-        for band in bands
-    ]
-    backend = resolve_execution_backend(
-        workers=config.workers, use_processes=use_processes, shard=shard
-    )
-    results = backend.execute(
-        _two_join_band,
-        payloads,
+        shared_left = {
+            left_id: left[left_id] for left_id in _needed_ids(owned, eligible)
+        }
+        return (shared_left, shared_right), contexts
+
+    return _run_banded(
+        config,
+        kind="two",
+        content=_collection_content(left, right),
+        # With no left string to probe, no band has work: an empty plan.
+        lengths=[len(string) for string in right] if left else [],
+        halo=0,
+        strings=len(left) + len(right),
+        publish=publish,
+        band_fields=lambda band: (eligible(band), band.member_ids),
+        task=_two_join_band,
+        serial=partial(similarity_join_two, left, right),
+        use_processes=use_processes,
+        min_parallel=min_parallel,
         policy=policy,
-        stats=stats,
-        faults=faults,
-        checkpoint=checkpoint,
-        **pool_kwargs,
     )
-    outcome = _fold_bands(results, stats)
-    total_timer.stop()
-    return outcome

@@ -13,6 +13,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -116,9 +117,8 @@ class TestCollectionContext:
 def _capture_payloads(monkeypatch):
     """Intercept run_bands to record the per-band payloads dispatched.
 
-    Every execution backend funnels into ``executor.run_bands`` (looked
-    up at call time), so patching it there observes the exact payloads
-    any backend ships.
+    Both banded drivers call ``executor.run_bands`` (looked up at call
+    time), so patching it there observes the exact payloads they ship.
     """
     captured = []
     real = executor.run_bands
@@ -201,10 +201,7 @@ class TestWorkerPublication:
             pytest.skip(f"start method {method!r} unavailable")
         collection, config, serial = self._workload()
         outcome = parallel_similarity_join(
-            collection,
-            config,
-            min_parallel=0,
-            mp_context=multiprocessing.get_context(method),
+            collection, replace(config, mp_start=method), min_parallel=0
         )
         assert outcome.pairs == serial.pairs
         # The pool must have been used, not the in-process fallback.

@@ -161,7 +161,6 @@ class TestExecutorOffMainThread:
                     _checking_band_task,
                     [(0, (0, ["band-0"]))],
                     workers=1,
-                    use_processes=False,
                     policy=RetryPolicy(retries=1, timeout=0.05, sleep=lambda _s: None),
                     stats=stats,
                     faults=FaultPlan.from_spec("hang@0/0.3"),
@@ -190,7 +189,6 @@ class TestExecutorOffMainThread:
                     _checking_band_task,
                     [(0, (0, ["band-0"]))],
                     workers=1,
-                    use_processes=False,
                     policy=RetryPolicy(retries=0, timeout=None),
                     stats=stats,
                 )

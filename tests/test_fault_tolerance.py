@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.executor as executor
+from repro.core.checkpoint import CheckpointStore
 from repro.core.config import JoinConfig
 from repro.core.errors import (
     CheckpointCorruptError,
@@ -24,7 +26,7 @@ from repro.core.errors import (
     ConfigurationError,
     WorkerCrashError,
 )
-from repro.core.executor import CheckpointStore, RetryPolicy, run_bands
+from repro.core.executor import RetryPolicy, run_bands
 from repro.core.join import similarity_join
 from repro.core.parallel import (
     parallel_similarity_join,
@@ -122,7 +124,7 @@ class TestFaultPlan:
             FaultPlan.from_spec(bad)
 
     def test_shard_qualified_spec_never_fires_unnarrowed(self):
-        # A qualified spec is inert until a ShardBackend narrows the
+        # A qualified spec is inert until a sharded driver narrows the
         # plan to its shard — band indices alone must not trigger it.
         plan = FaultPlan.from_spec("crash@s1:2")
         assert plan.fault_for(2, 0) is None
@@ -160,27 +162,7 @@ class TestRetryPolicy:
         p = RetryPolicy(backoff=0.05, backoff_factor=2.0)
         assert p.delay(0) == 0.05
         assert p.delay(1) == 0.05 * 2.0
-        assert p.delay(3, band_index=7) == 0.05 * 2.0**3
-
-    def test_retry_jitter_is_deterministic_and_desynchronizes_bands(self):
-        p = RetryPolicy(backoff=0.05, jitter=0.5, jitter_seed=11)
-        again = RetryPolicy(backoff=0.05, jitter=0.5, jitter_seed=11)
-        assert p.delay(1, band_index=3) == again.delay(1, band_index=3)
-        delays = {p.delay(1, band_index=band) for band in range(8)}
-        assert len(delays) == 8  # no two bands back off in lockstep
-        base = RetryPolicy(backoff=0.05).delay(1)
-        for value in delays:
-            assert base <= value <= base * 1.5
-        reseeded = RetryPolicy(backoff=0.05, jitter=0.5, jitter_seed=12)
-        assert reseeded.delay(1, band_index=3) != p.delay(1, band_index=3)
-
-    def test_retry_jitter_fraction_range_and_validation(self):
-        p = RetryPolicy(jitter=1.0)
-        for band in range(4):
-            for attempt in range(4):
-                assert 0.0 <= p.jitter_fraction(band, attempt) < 1.0
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=-0.1)
+        assert p.delay(3) == 0.05 * 2.0**3
 
 
 # ----------------------------------------------------------------------
@@ -207,13 +189,39 @@ def _clear_calls():
 
 
 class TestRunBands:
+    @staticmethod
+    def forbid_pool(monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_bands constructed a process pool")
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", no_pool)
+
+    @pytest.mark.parametrize("workers, bands", [(1, 3), (4, 1)])
+    def test_no_pool_without_two_pending_bands(
+        self, monkeypatch, workers, bands
+    ):
+        # One worker, or a single pending band, runs in-process: the
+        # pool is never even constructed.
+        self.forbid_pool(monkeypatch)
+        results = run_bands(
+            toy_band_task, toy_payloads(bands), workers=workers
+        )
+        assert [band for band, _, _ in results] == list(range(bands))
+        assert sorted(CALLS) == list(range(bands))
+
+    def test_pool_for_many_workers_and_bands(self, monkeypatch):
+        # Control for the test above: the same patch does fire when
+        # two bands are pending under two workers.
+        self.forbid_pool(monkeypatch)
+        with pytest.raises(AssertionError, match="process pool"):
+            run_bands(toy_band_task, toy_payloads(2), workers=2)
+
     def test_clean_run_executes_each_band_once(self):
         stats = JoinStatistics()
         results = run_bands(
             toy_band_task,
             toy_payloads(),
             workers=1,
-            use_processes=False,
             stats=stats,
         )
         assert [band for band, _, _ in results] == [0, 1, 2]
@@ -229,7 +237,6 @@ class TestRunBands:
             toy_band_task,
             toy_payloads(),
             workers=1,
-            use_processes=False,
             policy=policy(retries=2),
             stats=stats,
             faults=FaultPlan.from_spec("crash@1"),
@@ -246,7 +253,6 @@ class TestRunBands:
             toy_band_task,
             toy_payloads(),
             workers=1,
-            use_processes=False,
             policy=policy(retries=2),
             stats=stats,
             faults=FaultPlan.from_spec("crash@0x3"),  # attempts 0-2 crash
@@ -264,7 +270,6 @@ class TestRunBands:
                 toy_band_task,
                 toy_payloads(),
                 workers=1,
-                use_processes=False,
                 policy=policy(retries=1),
                 stats=stats,
                 faults=FaultPlan.from_spec("crash@2x3"),  # degraded attempt too
@@ -279,7 +284,6 @@ class TestRunBands:
             toy_band_task,
             toy_payloads(),
             workers=1,
-            use_processes=False,
             policy=policy(retries=1),
             stats=stats,
             faults=FaultPlan.from_spec("corrupt@0"),
@@ -298,7 +302,6 @@ class TestRunBands:
             toy_band_task,
             toy_payloads(1),
             workers=1,
-            use_processes=False,
             policy=policy(retries=1, timeout=0.05),
             stats=stats,
             faults=FaultPlan.from_spec("hang@0x2/5"),
@@ -316,7 +319,6 @@ class TestRunBands:
             toy_band_task,
             toy_payloads(1),
             workers=1,
-            use_processes=False,
             policy=RetryPolicy(
                 retries=2, backoff=0.1, backoff_factor=2.0, sleep=slept.append
             ),
@@ -332,7 +334,6 @@ class TestRunBands:
             toy_band_task,
             toy_payloads(),
             workers=1,
-            use_processes=False,
             checkpoint=store,
         )
         assert len(CALLS) == 3
@@ -342,7 +343,6 @@ class TestRunBands:
             toy_band_task,
             toy_payloads(),
             workers=1,
-            use_processes=False,
             stats=stats,
             checkpoint=store,
         )
@@ -364,11 +364,10 @@ class TestGoldenUnderFaults:
         config = dict(spec.config_grid())[key]
         outcome = parallel_similarity_join(
             spec.self_collection(),
-            replace(config, workers=4),
+            replace(config, workers=4, fault_spec="crash@1x2,corrupt@0"),
             use_processes=False,
             min_parallel=0,
             policy=policy(retries=2),
-            faults=FaultPlan.from_spec("crash@1x2,corrupt@0"),
         )
         assert spec.encode_pairs(outcome.pairs) == GOLDEN[key]["join"]
 
@@ -376,11 +375,10 @@ class TestGoldenUnderFaults:
         config = dict(spec.config_grid())["QFCT-k1-probs"]
         outcome = parallel_similarity_join(
             spec.self_collection(),
-            replace(config, workers=4),
+            replace(config, workers=4, fault_spec="crash@0x3"),
             use_processes=False,
             min_parallel=0,
             policy=policy(retries=2),
-            faults=FaultPlan.from_spec("crash@0x3"),
         )
         counts = outcome.stats.fault_counts()
         assert counts["fault.crashed"] == 3
@@ -399,11 +397,10 @@ class TestGoldenUnderFaults:
         faulted = parallel_similarity_join_two(
             left,
             right,
-            replace(base, workers=3),
+            replace(base, workers=3, fault_spec="crash@0,corrupt@1"),
             use_processes=False,
             min_parallel=0,
             policy=policy(retries=1),
-            faults=FaultPlan.from_spec("crash@0,corrupt@1"),
         )
         assert faulted.pairs == serial.pairs
 
@@ -438,10 +435,9 @@ class TestProcessPoolFaults:
         serial = similarity_join(collection, JoinConfig(k=2, tau=0.1, q=2))
         outcome = parallel_similarity_join(
             collection,
-            JoinConfig(k=2, tau=0.1, q=2, workers=4),
+            JoinConfig(k=2, tau=0.1, q=2, workers=4, fault_spec="abort@0x3"),
             min_parallel=0,
             policy=policy(retries=2),
-            faults=FaultPlan.from_spec("abort@0x3"),
         )
         assert outcome.pairs == serial.pairs
         ids = [(pair.left_id, pair.right_id) for pair in outcome.pairs]
@@ -458,10 +454,9 @@ class TestProcessPoolFaults:
         serial = similarity_join(collection, JoinConfig(k=1, tau=0.1, q=2))
         outcome = parallel_similarity_join(
             collection,
-            JoinConfig(k=1, tau=0.1, q=2, workers=2),
+            JoinConfig(k=1, tau=0.1, q=2, workers=2, fault_spec="crash@1"),
             min_parallel=0,
             policy=policy(retries=2),
-            faults=FaultPlan.from_spec("crash@1"),
         )
         assert outcome.pairs == serial.pairs
         counts = outcome.stats.fault_counts()
@@ -474,15 +469,17 @@ class TestProcessPoolFaults:
 # ----------------------------------------------------------------------
 
 
-def banded(collection, config, run_dir=None, faults=None, retries=0):
+def banded(collection, config, run_dir=None, fault_spec=None, retries=0):
     return parallel_similarity_join(
         collection,
-        config,
+        replace(
+            config,
+            checkpoint_dir=None if run_dir is None else str(run_dir),
+            fault_spec=fault_spec,
+        ),
         use_processes=False,
         min_parallel=0,
         policy=policy(retries=retries),
-        faults=faults,
-        run_dir=None if run_dir is None else str(run_dir),
     )
 
 
@@ -514,7 +511,7 @@ class TestCheckpointResume:
                 collection,
                 config,
                 run_dir=tmp_path,
-                faults=FaultPlan.from_spec(f"crash@{last}x2"),
+                fault_spec=f"crash@{last}x2",
             )
         store = CheckpointStore(tmp_path)
         completed = store.completed_bands()
@@ -551,7 +548,9 @@ class TestCheckpointResume:
         collection = random_collection(random.Random(5), 6, length_range=(4, 7))
         config = JoinConfig(k=1, tau=0.1, q=2, workers=2)
         outcome = parallel_similarity_join(
-            collection, config, use_processes=False, run_dir=str(tmp_path)
+            collection,
+            replace(config, checkpoint_dir=str(tmp_path)),
+            use_processes=False,
         )
         serial = similarity_join(collection, JoinConfig(k=1, tau=0.1, q=2))
         assert outcome.pairs == serial.pairs

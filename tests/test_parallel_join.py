@@ -10,6 +10,7 @@ path and the public ``config.workers`` dispatch.
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -233,8 +234,9 @@ class TestCheckpointFingerprints:
 
     def test_self_join(self, config, tmp_path):
         parallel_similarity_join(
-            spec.self_collection(), config, use_processes=False,
-            run_dir=str(tmp_path),
+            spec.self_collection(),
+            replace(config, checkpoint_dir=str(tmp_path)),
+            use_processes=False,
         )
         assert self.fingerprint(tmp_path) == (
             "2ce248465c3556c87410cf3871156bc49b0bab0c3ef7fc64972b878365913185"
@@ -248,8 +250,10 @@ class TestCheckpointFingerprints:
             ("sqlite", SqliteStore(tmp_path / "s.db")),
         ):
             parallel_similarity_join(
-                None, config, use_processes=False,
-                run_dir=str(tmp_path / name), store=store,
+                None,
+                replace(config, checkpoint_dir=str(tmp_path / name)),
+                use_processes=False,
+                store=store,
             )
             assert self.fingerprint(tmp_path / name) == (
                 "2154bd973366947edc1afcf6666ec79e37a891b2942f233bde181461092d54e5"
@@ -257,8 +261,10 @@ class TestCheckpointFingerprints:
 
     def test_two_join(self, config, tmp_path):
         parallel_similarity_join_two(
-            spec.left_collection(), spec.right_collection(), config,
-            use_processes=False, run_dir=str(tmp_path),
+            spec.left_collection(),
+            spec.right_collection(),
+            replace(config, checkpoint_dir=str(tmp_path)),
+            use_processes=False,
         )
         assert self.fingerprint(tmp_path) == (
             "7ddb2e691302eb74a860c38c30c41f06ceda627d1e5ac831116fd6e37ccbd02d"

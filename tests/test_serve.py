@@ -10,7 +10,10 @@ never hang and never leak across the admission limits.
 
 import http.client
 import json
+import random
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -31,6 +34,8 @@ from repro.serve.protocol import (
 )
 from repro.serve.service import JoinService, ServeOptions
 from repro.uncertain.parser import format_uncertain, parse_uncertain
+
+from tests.helpers import random_collection
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +422,36 @@ class TestHTTP:
             document = json.loads(body)
             assert document["admission"]["in_flight"] == 0
             assert "serve" in document["counters"]
+        finally:
+            assert runner.shutdown()
+
+    def test_keep_alive_requests_do_not_stall(self, config):
+        # Back-to-back requests on one connection: with Nagle's
+        # algorithm on, each response body waited ~40 ms for the
+        # client's delayed ACK of its headers. Five short strings keep
+        # the search itself around a millisecond.
+        small = random_collection(random.Random(7), 5)
+        service = JoinService(small, config, ServeOptions())
+        payload = json.dumps({"query": texts(small)[0]})
+        runner = ServerRunner(service).start()
+        try:
+            host, port = runner.address
+            connection = http.client.HTTPConnection(host, port, timeout=10.0)
+            latencies = []
+            try:
+                for _ in range(12):
+                    started = time.perf_counter()
+                    connection.request(
+                        "POST", "/search", body=payload,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    response.read()
+                    latencies.append(time.perf_counter() - started)
+            finally:
+                connection.close()
+            assert statistics.median(latencies) < 0.020, latencies
         finally:
             assert runner.shutdown()
 

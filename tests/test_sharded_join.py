@@ -19,18 +19,9 @@ from pathlib import Path
 
 import pytest
 
-import repro.core.dispatch as dispatch
+import repro.core.executor as executor
 from repro.core.checkpoint import CheckpointStore, ShardCheckpointStore
-from repro.core.config import JoinConfig
-from repro.core.dispatch import (
-    ProcessPoolBackend,
-    SerialBackend,
-    ShardBackend,
-    effective_pool_width,
-    parse_shard,
-    resolve_execution_backend,
-    shard_slice,
-)
+from repro.core.config import JoinConfig, parse_shard, shard_slice
 from repro.core.errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -38,7 +29,7 @@ from repro.core.errors import (
     ShardIncompleteError,
     WorkerCrashError,
 )
-from repro.core.executor import RetryPolicy
+from repro.core.executor import RetryPolicy, effective_pool_width
 from repro.core.join import similarity_join
 from repro.core.merge import merge_run
 from repro.core.parallel import (
@@ -46,7 +37,6 @@ from repro.core.parallel import (
     parallel_similarity_join_two,
     plan_length_bands,
 )
-from repro.util.faults import FaultPlan
 
 from tests import equivalence_spec as spec
 from tests.helpers import random_collection
@@ -86,7 +76,7 @@ def run_all_shards(collection, config, run_dir, shard_count):
 
 
 # ----------------------------------------------------------------------
-# dispatch-layer units
+# shard coordinates and pool width
 # ----------------------------------------------------------------------
 
 
@@ -121,33 +111,14 @@ class TestShardSlice:
 
 class TestEffectivePoolWidth:
     def test_clamps_to_pending_and_cores(self, monkeypatch):
-        monkeypatch.setattr(dispatch.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: 2)
         assert effective_pool_width(8, 10) == 2
         assert effective_pool_width(8, 1) == 1
         assert effective_pool_width(1, 10) == 1
 
     def test_cpu_count_unknown_degrades_to_one(self, monkeypatch):
-        monkeypatch.setattr(dispatch.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: None)
         assert effective_pool_width(8, 10) == 1
-
-
-class TestResolveExecutionBackend:
-    def test_serial_for_one_worker(self):
-        assert isinstance(
-            resolve_execution_backend(workers=1, use_processes=True),
-            SerialBackend,
-        )
-
-    def test_pool_for_many_workers(self):
-        backend = resolve_execution_backend(workers=3, use_processes=True)
-        assert isinstance(backend, ProcessPoolBackend)
-
-    def test_shard_wraps_inner_backend(self):
-        backend = resolve_execution_backend(
-            workers=3, use_processes=True, shard=(1, 2)
-        )
-        assert isinstance(backend, ShardBackend)
-        assert backend.owned_positions(5) == range(2, 5)
 
 
 class TestShardConfig:
@@ -337,24 +308,22 @@ class TestPoolWidthClampRegression:
         expected = parallel_similarity_join(
             collection, config, use_processes=False, min_parallel=0
         )
+        checkpointed = replace(config, checkpoint_dir=str(tmp_path))
         with pytest.raises(WorkerCrashError):
             parallel_similarity_join(
                 collection,
-                config,
+                replace(checkpointed, fault_spec=f"crash@{last}x2"),
                 use_processes=False,
                 min_parallel=0,
                 policy=RetryPolicy(retries=0, sleep=no_sleep),
-                faults=FaultPlan.from_spec(f"crash@{last}x2"),
-                run_dir=str(tmp_path),
             )
-        monkeypatch.setattr(dispatch.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: 1)
         assert effective_pool_width(config.workers, len(bands)) == 1
         resumed = parallel_similarity_join(
             collection,
-            config,
+            checkpointed,
             min_parallel=0,
             policy=RetryPolicy(sleep=no_sleep),
-            run_dir=str(tmp_path),
         )
         assert resumed.pairs == expected.pairs
         assert resumed.stats.stage_count("fault", "resumed") == len(bands) - 1
@@ -551,11 +520,10 @@ class TestMergeValidation:
         )
         parallel_similarity_join(
             workload,
-            config,
+            replace(config, checkpoint_dir=str(tmp_path)),
             use_processes=False,
             min_parallel=0,
             policy=RetryPolicy(sleep=no_sleep),
-            run_dir=str(tmp_path),
         )
         merged = merge_run(tmp_path)
         assert merged.pairs == serial.pairs
@@ -565,13 +533,66 @@ class TestMergeValidation:
     ):
         parallel_similarity_join(
             workload,
-            config,
+            replace(config, checkpoint_dir=str(tmp_path)),
             use_processes=False,
             min_parallel=0,
             policy=RetryPolicy(sleep=no_sleep),
-            run_dir=str(tmp_path),
         )
         store = CheckpointStore(tmp_path)
         store.band_path(store.completed_bands()[-1]).unlink()
         with pytest.raises(ShardIncompleteError):
             merge_run(tmp_path)
+
+
+# ----------------------------------------------------------------------
+# empty input: the run directory exists and merges to nothing
+# ----------------------------------------------------------------------
+
+
+class TestEmptyInputMerges:
+    """A checkpointed or sharded run over empty input plans zero bands
+    but still opens its run directory, so ``merge_run`` returns no pairs
+    with the input size recorded instead of failing for a missing
+    ``run.json``."""
+
+    @pytest.fixture
+    def config(self):
+        return JoinConfig(k=1, tau=0.1, q=2, workers=2)
+
+    @staticmethod
+    def assert_empty_merge(run_dir, strings):
+        merged = merge_run(run_dir)
+        assert merged.pairs == []
+        assert merged.stats.result_pairs == 0
+        assert merged.stats.total_strings == strings
+
+    def test_self_join_flat(self, config, tmp_path):
+        outcome = parallel_similarity_join(
+            [], replace(config, checkpoint_dir=str(tmp_path))
+        )
+        assert outcome.pairs == []
+        self.assert_empty_merge(tmp_path, 0)
+
+    def test_self_join_sharded(self, config, tmp_path):
+        for shard_index in range(2):
+            assert run_shard([], config, tmp_path, shard_index, 2).pairs == []
+        self.assert_empty_merge(tmp_path, 0)
+
+    @pytest.mark.parametrize("empty_side", ["left", "right"])
+    def test_two_join_flat(self, config, tmp_path, empty_side):
+        one = random_collection(random.Random(3), 1)
+        left, right = ([], one) if empty_side == "left" else (one, [])
+        outcome = parallel_similarity_join_two(
+            left, right, replace(config, checkpoint_dir=str(tmp_path))
+        )
+        assert outcome.pairs == []
+        self.assert_empty_merge(tmp_path, 1)
+
+    @pytest.mark.parametrize("empty_side", ["left", "right"])
+    def test_two_join_sharded(self, config, tmp_path, empty_side):
+        one = random_collection(random.Random(3), 1)
+        left, right = ([], one) if empty_side == "left" else (one, [])
+        for shard_index in range(2):
+            outcome = run_two_shard(left, right, config, tmp_path, shard_index, 2)
+            assert outcome.pairs == []
+        self.assert_empty_merge(tmp_path, 1)

@@ -421,13 +421,14 @@ class TestDriverParity:
     def test_checkpoint_and_resume(self, collection, sqlite_store, tmp_path, reference):
         config = JoinConfig(k=K, tau=0.15, q=Q, workers=2)
         run_dir = str(tmp_path / "run")
+        config = replace(config, checkpoint_dir=run_dir)
         first = parallel_similarity_join(
             None, config, use_processes=False,
-            min_parallel=0, run_dir=run_dir, store=sqlite_store,
+            min_parallel=0, store=sqlite_store,
         )
         resumed = parallel_similarity_join(
             None, config, use_processes=False,
-            min_parallel=0, run_dir=run_dir, store=sqlite_store,
+            min_parallel=0, store=sqlite_store,
         )
         assert first.pairs == reference.pairs
         assert resumed.pairs == reference.pairs
