@@ -150,6 +150,63 @@ def group_probability(
     return _beta_group_probability(string, group)
 
 
+#: Per-query memo of window worlds: ``(start, length)`` → the words that
+#: window realizes with positive probability, in enumeration order.
+WindowTable = dict[tuple[int, int], tuple[str, ...]]
+
+
+def substring_occurrences(
+    string: UncertainString,
+    starts: Iterable[int],
+    length: int,
+    windows: WindowTable,
+) -> dict[str, list[int]]:
+    """Every instance value ``w`` of the windows ``R[start : start + length]``.
+
+    Maps each word to the ascending starts of the windows that realize it
+    with positive probability; words appear in first-occurrence order
+    (windows ascending, worlds in enumeration order). Duplicate starts
+    count once and windows that leave ``R`` are skipped. Each window's
+    worlds are read from ``windows`` or enumerated into it.
+    """
+    occurrences: dict[str, list[int]] = {}
+    for start in sorted(set(starts)):
+        if start < 0 or start + length > len(string):
+            continue
+        words = windows.get((start, length))
+        if words is None:
+            words = windows[start, length] = tuple(
+                word
+                for word, prob in enumerate_worlds(
+                    string.substring(start, length), limit=None
+                )
+                if prob > 0.0
+            )
+        for word in words:
+            occurrences.setdefault(word, []).append(start)
+    return occurrences
+
+
+def occurrence_weight(
+    string: UncertainString,
+    word: str,
+    starts: Sequence[int],
+    mode: GroupMode = "exact",
+) -> float:
+    """``p_r(w)``: probability that some window at ``starts`` realizes ``word``.
+
+    Overlap groups combine by :func:`group_probability`; disjoint groups
+    are independent, so ``p_r(w) = 1 - prod_g (1 - p(g))``, clamped to 1
+    (Section 3.2, Step 2). ``starts`` must ascend, as
+    :func:`substring_occurrences` returns them.
+    """
+    survive = 1.0
+    for group in _split_into_groups(word, starts):
+        survive *= 1.0 - group_probability(string, group, mode)
+    prob = 1.0 - survive
+    return min(1.0, prob) if prob > 0.0 else 0.0
+
+
 def equivalent_substring_set(
     string: UncertainString,
     starts: Iterable[int],
@@ -168,23 +225,13 @@ def equivalent_substring_set(
     For a deterministic ``r`` every present substring gets probability 1,
     recovering the plain substring set of Section 3.1.
     """
-    start_list = sorted(set(starts))
-    occurrences: dict[str, list[int]] = {}
-    for start in start_list:
-        if start < 0 or start + length > len(string):
-            continue
-        window = string.substring(start, length)
-        for word, prob in enumerate_worlds(window, limit=None):
-            if prob > 0.0:
-                occurrences.setdefault(word, []).append(start)
     equivalent: dict[str, float] = {}
-    for word, word_starts in occurrences.items():
-        survive = 1.0
-        for group in _split_into_groups(word, word_starts):
-            survive *= 1.0 - group_probability(string, group, mode)
-        prob = 1.0 - survive
-        if prob > 0.0:
-            equivalent[word] = min(1.0, prob)
+    for word, word_starts in substring_occurrences(
+        string, starts, length, {}
+    ).items():
+        weight = occurrence_weight(string, word, word_starts, mode)
+        if weight > 0.0:
+            equivalent[word] = weight
     return equivalent
 
 

@@ -141,16 +141,22 @@ class FrequencyProfile:
 
     def __init__(self, string: UncertainString) -> None:
         self.length = len(string)
+        # One pass over the positions: certain counts per character, and
+        # each character's uncertain probabilities in position order (the
+        # lists char_position_probs would return).
+        certain: dict[str, int] = {}
+        uncertain: dict[str, list[float]] = {}
+        for pos in string:
+            if pos.is_certain:
+                certain[pos.top] = certain.get(pos.top, 0) + 1
+            else:
+                for char, prob in pos.items():
+                    uncertain.setdefault(char, []).append(prob)
         by_char: dict[str, CharCountDistribution] = {}
-        for char in sorted(string.support_alphabet()):
-            certain = sum(
-                1
-                for pos in string
-                if pos.is_certain and pos.top == char
-            )
-            probs = string.char_position_probs(char)
+        for char in sorted(certain.keys() | uncertain.keys()):
             by_char[char] = CharCountDistribution(
-                certain=certain, pmf=tuple(poisson_binomial_pmf(probs))
+                certain=certain.get(char, 0),
+                pmf=tuple(poisson_binomial_pmf(uncertain.get(char, ()))),
             )
         self._by_char = by_char
         # Support is queried twice per pair by fd_lower_bound and again

@@ -10,6 +10,21 @@ that only answers "which posting lists exist and what do they hold".
 Both backends therefore accumulate the same floats in the same order;
 neither can drift without the other.
 
+Postings come first, weights second. Per segment the probe collects
+the query's window occurrences (word → starts), asks the view which of
+those words have postings, and computes the Section 3.2 group
+probability only for the words that hit — most words of an equivalent
+set have no postings. Hits are weighted in occurrence order, so the
+merge adds the same ``(weight, postings)`` pairs in the same order as
+merging the full equivalent set would. The occurrence and weight rules
+are :func:`~repro.filters.alpha.substring_occurrences` and
+:func:`~repro.filters.alpha.occurrence_weight`, the same helpers that
+build :func:`~repro.filters.alpha.equivalent_substring_set`.
+
+The 2k + 1 probed lengths share most query windows, so one query keeps
+one window table (``(start, length)`` → words) for all of them. It is
+local to :func:`query_candidates` and dies with the query.
+
 A view answers in *rank* space: posting entries carry the insertion
 rank the index was built under, and every returned candidate's
 ``string_id`` is such a rank. Callers that key results differently
@@ -22,7 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from repro.filters.alpha import GroupMode, equivalent_substring_set
+from repro.filters.alpha import (
+    GroupMode,
+    WindowTable,
+    occurrence_weight,
+    substring_occurrences,
+)
 from repro.filters.events import markov_tail_bound, tail_probability
 from repro.index.merge import join_sorted_lists, merge_weighted_postings
 from repro.partition.even import Segment
@@ -71,8 +91,8 @@ class PostingView(Protocol):
         """Whether any posting list exists for ``(length, segment)``.
 
         Purely a short-circuit — a ``True`` for an ultimately empty
-        segment only costs the equivalent-set computation, never
-        changes a result.
+        segment only costs a :meth:`posting_lists` call that finds
+        nothing, never changes a result.
         """
         ...
 
@@ -102,12 +122,13 @@ def query_candidates(
     """All indexed candidates surviving Lemma 5 + Theorem 2.
 
     Only lengths within ``k`` of ``|query|`` are probed; per length the
-    query's equivalent substring sets are built once per segment and
-    merged against the posting lists with top-pointer scans. Candidates
-    failing the ``>= m - k`` count or whose bound is ``<= tau`` are
-    pruned here.
+    query's window occurrences are looked up once per segment and the
+    hits merged against the posting lists with top-pointer scans.
+    Candidates failing the ``>= m - k`` count or whose bound is
+    ``<= tau`` are pruned here.
     """
     out: list[IndexCandidate] = []
+    windows: WindowTable = {}
     query_length = len(query)
     for length in view.visit_lengths():
         if abs(length - query_length) > k:
@@ -122,6 +143,7 @@ def query_candidates(
                 selection=selection,
                 group_mode=group_mode,
                 bound_mode=bound_mode,
+                windows=windows,
             )
         )
     return out
@@ -137,8 +159,14 @@ def query_length_candidates(
     selection: SelectionMode,
     group_mode: GroupMode,
     bound_mode: str,
+    windows: WindowTable,
 ) -> list[IndexCandidate]:
-    """The surviving candidates among indexed strings of one length."""
+    """The surviving candidates among indexed strings of one length.
+
+    ``windows`` is the calling query's window table. Returns early, with
+    no further view calls, once more than ``m - required`` segments have
+    come up empty: the pigeonhole can no longer be met.
+    """
     segments = view.partition_of(length)
     m = len(segments)
     required = m - k
@@ -156,32 +184,31 @@ def query_length_candidates(
             for string_id in view.ids_of_length(length)
         ]
     per_segment: list[list[tuple[int, float]]] = []
-    survivors_possible = 0
+    empty_allowed = m - required
     for segment in segments:
         merged: list[tuple[int, float]] = []
-        if view.has_segment(length, segment.index):
-            starts = substring_starts(
-                segment, len(query), length, k, m, selection
+        starts = substring_starts(segment, len(query), length, k, m, selection)
+        if starts and view.has_segment(length, segment.index):
+            occurrences = substring_occurrences(
+                query, starts, segment.length, windows
             )
-            if starts:
-                equivalent = equivalent_substring_set(
-                    query, starts, segment.length, group_mode
-                )
-                lists = view.posting_lists(
-                    length, segment.index, list(equivalent)
-                )
-                weighted = [
-                    (weight, lists[word])
-                    for word, weight in equivalent.items()
-                    if word in lists and lists[word]
-                ]
-                if weighted:
-                    merged = merge_weighted_postings(weighted)
+            lists = view.posting_lists(length, segment.index, list(occurrences))
+            weighted = []
+            for word, word_starts in occurrences.items():
+                postings = lists.get(word)
+                if postings:
+                    weight = occurrence_weight(
+                        query, word, word_starts, group_mode
+                    )
+                    if weight > 0.0:
+                        weighted.append((weight, postings))
+            if weighted:
+                merged = merge_weighted_postings(weighted)
+        if not merged:
+            empty_allowed -= 1
+            if empty_allowed < 0:
+                return []
         per_segment.append(merged)
-        if merged:
-            survivors_possible += 1
-    if survivors_possible < required:
-        return []
     candidates: list[IndexCandidate] = []
     for string_id, entries in join_sorted_lists(per_segment):
         matched = sum(1 for _, alpha in entries if alpha > 0.0)

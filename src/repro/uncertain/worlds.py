@@ -10,6 +10,7 @@ of worlds is exponential in the number of uncertain positions — use
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import Iterator
 
 from repro.uncertain.string import UncertainString
@@ -29,7 +30,16 @@ def enumerate_worlds(
     """Yield ``(instance, probability)`` for every possible world.
 
     Worlds are emitted in the deterministic order induced by each position's
-    most-probable-first alternative ordering. Probabilities sum to 1.
+    most-probable-first alternative ordering, the last position varying
+    fastest. Probabilities sum to 1.
+
+    Each probability is the product of the positions' probabilities taken
+    left to right from ``1.0``. Positions whose only alternative has
+    probability exactly ``1.0`` are skipped: multiplying by ``1.0`` is
+    exact, so skipping them changes no word, no order and no float. The
+    skip keys on ``probs == (1.0,)`` rather than ``is_certain``: a single
+    alternative read back verbatim (:meth:`UncertainPosition.from_normalized`)
+    may carry ``1 - ulp``, and that factor must still be multiplied in.
 
     Raises ``ValueError`` when the world count exceeds ``limit`` (pass
     ``limit=None`` to disable the guard).
@@ -41,17 +51,27 @@ def enumerate_worlds(
                 f"refusing to enumerate {count} worlds (limit {limit}); "
                 "pass limit=None to override"
             )
+    return _worlds(string)
 
-    def recurse(index: int, prefix: list[str], prob: float) -> Iterator[tuple[str, float]]:
-        if index == len(string):
-            yield "".join(prefix), prob
-            return
-        for char, char_prob in string[index].items():
-            prefix.append(char)
-            yield from recurse(index + 1, prefix, prob * char_prob)
-            prefix.pop()
 
-    return recurse(0, [], 1.0)
+def _worlds(string: UncertainString) -> Iterator[tuple[str, float]]:
+    chars: list[str] = []
+    indices: list[int] = []
+    alternatives: list[Iterator[tuple[str, float]]] = []
+    for index, pos in enumerate(string):
+        chars.append(pos.top)
+        if pos.probs != (1.0,):
+            indices.append(index)
+            alternatives.append(pos.items())
+    if not indices:  # the common certain window: one world, no product
+        yield "".join(chars), 1.0
+        return
+    for choice in product(*alternatives):
+        prob = 1.0
+        for index, (char, char_prob) in zip(indices, choice):
+            chars[index] = char
+            prob *= char_prob
+        yield "".join(chars), prob
 
 
 def enumerate_joint_worlds(

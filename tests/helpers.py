@@ -6,8 +6,11 @@ module keeps **frozen reference implementations** of the hot kernels
 before the allocation-conscious rewrites. The optimized kernels in
 ``repro.filters`` / ``repro.distance`` must stay float-for-float
 identical to these copies — ``tests/test_kernel_equivalence.py`` holds
-them to it. Do not "fix" or modernize the reference copies; their whole
-value is that they do not change.
+them to it. The recursive world generator, the frequency-profile
+constructor and the equivalent-set-first index probe are frozen the
+same way (``tests/test_worlds.py``, ``tests/test_probe_parity.py``).
+Do not "fix" or modernize the reference copies; their whole value is
+that they do not change.
 """
 
 from __future__ import annotations
@@ -16,7 +19,12 @@ import random
 
 from hypothesis import strategies as st
 
-from repro.filters.frequency import FrequencyProfile
+from repro.filters.alpha import _split_into_groups, group_probability
+from repro.filters.events import markov_tail_bound, tail_probability
+from repro.filters.frequency import FrequencyProfile, poisson_binomial_pmf
+from repro.index.merge import join_sorted_lists, merge_weighted_postings
+from repro.index.probe import IndexCandidate
+from repro.partition.selection import substring_starts
 from repro.uncertain.alphabet import Alphabet
 from repro.uncertain.position import UncertainPosition
 from repro.uncertain.string import UncertainString
@@ -103,14 +111,37 @@ def positions(alphabet: str = "ACGT", max_support: int = 3) -> st.SearchStrategy
     return supports.flatmap(position_from_support)
 
 
+#: The largest float below 1: a single alternative read back verbatim
+#: (``UncertainPosition.from_normalized``) can carry it.
+ONE_MINUS_ULP = 1.0 - 2.0**-53
+
+
+def verbatim_positions(alphabet: str = "ACGT", max_support: int = 3) -> st.SearchStrategy:
+    """Strategy for positions as a store hydrates them: general
+    normalized positions, certain ones at exactly 1.0, and single
+    alternatives kept verbatim at ``1 - 2**-53``."""
+    chars = st.sampled_from(list(alphabet))
+    return st.one_of(
+        positions(alphabet, max_support),
+        chars.map(UncertainPosition.certain),
+        chars.map(
+            lambda c: UncertainPosition.from_normalized([(c, ONE_MINUS_ULP)])
+        ),
+    )
+
+
 def uncertain_strings(
     alphabet: str = "ACGT",
     min_length: int = 1,
     max_length: int = 6,
     max_support: int = 3,
     max_uncertain: int = 3,
+    verbatim: bool = False,
 ) -> st.SearchStrategy:
-    """Strategy for whole uncertain strings with bounded world counts."""
+    """Strategy for whole uncertain strings with bounded world counts.
+
+    ``verbatim`` mixes in :func:`verbatim_positions`.
+    """
 
     def clamp(string: UncertainString) -> UncertainString:
         # Keep world counts small: flatten excess uncertain positions to
@@ -129,7 +160,7 @@ def uncertain_strings(
 
     return (
         st.lists(
-            positions(alphabet, max_support),
+            (verbatim_positions if verbatim else positions)(alphabet, max_support),
             min_size=min_length,
             max_size=max_length,
         )
@@ -300,3 +331,157 @@ def reference_expected_positive_negative(
         reference_expected_negative(right, left),
         reference_expected_negative(left, right),
     )
+
+
+def reference_enumerate_worlds(string: UncertainString):
+    """The original recursive world generator (pre position-skip rewrite).
+
+    Recurses through every position, certain or not, multiplying each
+    position's probability into the running product left to right.
+    """
+
+    def recurse(index, prefix, prob):
+        if index == len(string):
+            yield "".join(prefix), prob
+            return
+        for char, char_prob in string[index].items():
+            prefix.append(char)
+            yield from recurse(index + 1, prefix, prob * char_prob)
+            prefix.pop()
+
+    return recurse(0, [], 1.0)
+
+
+def reference_profile_distributions(
+    string: UncertainString,
+) -> dict[str, tuple[int, tuple[float, ...]]]:
+    """The original ``FrequencyProfile`` constructor's ``(certain, pmf)``
+    per character: one scan of the string per support character."""
+    out = {}
+    for char in sorted(string.support_alphabet()):
+        certain = sum(
+            1
+            for pos in string
+            if pos.is_certain and pos.top == char
+        )
+        probs = string.char_position_probs(char)
+        out[char] = (certain, tuple(poisson_binomial_pmf(probs)))
+    return out
+
+
+def reference_equivalent_substring_set(string, starts, length, mode="exact"):
+    """The original equivalent-set builder over the recursive generator."""
+    start_list = sorted(set(starts))
+    occurrences: dict[str, list[int]] = {}
+    for start in start_list:
+        if start < 0 or start + length > len(string):
+            continue
+        window = string.substring(start, length)
+        for word, prob in reference_enumerate_worlds(window):
+            if prob > 0.0:
+                occurrences.setdefault(word, []).append(start)
+    equivalent: dict[str, float] = {}
+    for word, word_starts in occurrences.items():
+        survive = 1.0
+        for group in _split_into_groups(word, word_starts):
+            survive *= 1.0 - group_probability(string, group, mode)
+        prob = 1.0 - survive
+        if prob > 0.0:
+            equivalent[word] = min(1.0, prob)
+    return equivalent
+
+
+def reference_query_candidates(
+    view, query, tau, *, k, selection, group_mode, bound_mode
+) -> list[IndexCandidate]:
+    """The original equivalent-set-first index probe, every length."""
+    out: list[IndexCandidate] = []
+    query_length = len(query)
+    for length in view.visit_lengths():
+        if abs(length - query_length) > k:
+            continue
+        out.extend(
+            reference_query_length_candidates(
+                view,
+                query,
+                length,
+                tau,
+                k=k,
+                selection=selection,
+                group_mode=group_mode,
+                bound_mode=bound_mode,
+            )
+        )
+    return out
+
+
+def reference_query_length_candidates(
+    view, query, length, tau, *, k, selection, group_mode, bound_mode
+) -> list[IndexCandidate]:
+    """The original probe of one length: the full equivalent set with its
+    group probabilities first, then the posting lookup."""
+    segments = view.partition_of(length)
+    m = len(segments)
+    required = m - k
+    if required <= 0:
+        return [
+            IndexCandidate(
+                string_id=string_id,
+                alphas=(0.0,) * m,
+                matched_segments=0,
+                required=required,
+                upper=1.0,
+            )
+            for string_id in view.ids_of_length(length)
+        ]
+    per_segment: list[list[tuple[int, float]]] = []
+    survivors_possible = 0
+    for segment in segments:
+        merged: list[tuple[int, float]] = []
+        if view.has_segment(length, segment.index):
+            starts = substring_starts(
+                segment, len(query), length, k, m, selection
+            )
+            if starts:
+                equivalent = reference_equivalent_substring_set(
+                    query, starts, segment.length, group_mode
+                )
+                lists = view.posting_lists(
+                    length, segment.index, list(equivalent)
+                )
+                weighted = [
+                    (weight, lists[word])
+                    for word, weight in equivalent.items()
+                    if word in lists and lists[word]
+                ]
+                if weighted:
+                    merged = merge_weighted_postings(weighted)
+        per_segment.append(merged)
+        if merged:
+            survivors_possible += 1
+    if survivors_possible < required:
+        return []
+    candidates: list[IndexCandidate] = []
+    for string_id, entries in join_sorted_lists(per_segment):
+        matched = sum(1 for _, alpha in entries if alpha > 0.0)
+        if matched < required:
+            continue
+        alphas = [0.0] * m
+        for segment_offset, alpha in entries:
+            alphas[segment_offset] = min(1.0, alpha)
+        if bound_mode == "markov":
+            upper = markov_tail_bound(alphas, required)
+        else:
+            upper = tail_probability(alphas, required)
+        if upper <= tau:
+            continue
+        candidates.append(
+            IndexCandidate(
+                string_id=string_id,
+                alphas=tuple(alphas),
+                matched_segments=matched,
+                required=required,
+                upper=upper,
+            )
+        )
+    return candidates

@@ -35,6 +35,7 @@ from tests.helpers import (
     reference_expected_negative,
     reference_expected_positive_negative,
     reference_fd_lower_bound,
+    reference_profile_distributions,
     uncertain_strings,
 )
 
@@ -145,6 +146,29 @@ class TestBandedEditEquivalence:
         banded = edit_distance_banded(a, b, k)
         exact = edit_distance(a, b)
         assert banded == (exact if exact <= k else k + 1)
+
+
+class TestFrequencyProfileEquivalence:
+    """The one-pass profile constructor against the frozen
+    scan-per-character one: same support, counts and pmf floats."""
+
+    @given(
+        uncertain_strings(
+            alphabet="ACGT", min_length=0, max_length=10, max_uncertain=5,
+            verbatim=True,
+        )
+    )
+    @PROP
+    def test_distributions_match_reference(self, string):
+        profile = FrequencyProfile(string)
+        got = {
+            char: (profile.distribution(char).certain,
+                   profile.distribution(char).pmf)
+            for char in profile.sorted_chars
+        }
+        expected = reference_profile_distributions(string)
+        assert list(got.items()) == list(expected.items())
+        assert profile.chars() == frozenset(expected)
 
 
 class TestFrequencyEquivalence:

@@ -1,0 +1,144 @@
+"""The postings-first index probe against the frozen equivalent-set probe.
+
+:func:`repro.index.probe.query_candidates` looks postings up before it
+computes any Section 3.2 group probability, weighs only the words that
+hit, shares one window table across the probed lengths, and stops a
+length once the pigeonhole cannot be met. None of that may change a
+candidate: the ``IndexCandidate`` lists (ids, alphas, counts and bounds,
+floats under ``==``) must equal those of the equivalent-set-first probe
+frozen in ``tests/helpers.py``, through every posting view — the
+in-memory index, and the rank-limited views over ``MemoryStore`` and
+``SqliteStore`` — at several rank limits.
+"""
+
+from __future__ import annotations
+
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import JoinConfig
+from repro.filters.alpha import segment_match_probability
+from repro.index.inverted import SegmentInvertedIndex
+from repro.index.probe import query_candidates
+from repro.partition.selection import SELECTION_MODES
+from repro.store import MemoryStore, SqliteStore, StoreIndexSource, build_sqlite_store
+from repro.store.source import _RankLimitedView
+from repro.uncertain.alphabet import Alphabet
+from repro.uncertain.parser import parse_uncertain
+from repro.uncertain.worlds import enumerate_worlds
+
+from tests.helpers import random_collection, reference_query_candidates
+
+VIEWS = ("index", "memory", "sqlite")
+
+PROBE_SETTINGS = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def index_views(collection, k, q, limits):
+    """``(limit, view)`` for an incrementally built in-memory index."""
+    index = SegmentInvertedIndex(k=k, q=q)
+    for string_id, string in enumerate(collection):
+        if string_id in limits:
+            yield string_id, index
+        index.add(string_id, string)
+    yield len(collection), index
+
+
+def store_views(store, config, limits):
+    """``(limit, view)`` for a store, registered in its visit order."""
+    source = StoreIndexSource(config, store)
+    lengths = store.lengths_in_visit_order()
+    for rank, string_id in enumerate(store.ids_in_visit_order()):
+        if rank in limits:
+            yield rank, _RankLimitedView(source, rank)
+        source.register(string_id, lengths[rank])
+    yield len(store), _RankLimitedView(source, len(store))
+
+
+def views(kind, collection, k, q, limits, workdir):
+    if kind == "index":
+        return index_views(collection, k, q, limits)
+    config = JoinConfig.for_algorithm("QFCT", k=k, tau=0.1, q=q)
+    if kind == "memory":
+        return store_views(MemoryStore(collection, k=k, q=q), config, limits)
+    path = Path(workdir) / "index.db"
+    build_sqlite_store(iter(collection), path, k=k, q=q)
+    return store_views(SqliteStore(path), config, limits)
+
+
+@pytest.mark.parametrize("kind", VIEWS)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.integers(min_value=1, max_value=2),
+    q=st.integers(min_value=2, max_value=3),
+    selection=st.sampled_from(SELECTION_MODES),
+    group_mode=st.sampled_from(("beta", "exact")),
+    bound_mode=st.sampled_from(("paper", "markov")),
+    tau=st.sampled_from((0.0, 0.05, 0.3)),
+)
+@PROBE_SETTINGS
+def test_probe_matches_frozen_reference(
+    kind, seed, k, q, selection, group_mode, bound_mode, tau
+):
+    # A two-letter alphabet makes windows repeat words, so overlapping
+    # occurrences form multi-start groups.
+    rng = random.Random(seed)
+    collection = random_collection(
+        rng, 12, length_range=(3, 9), theta=0.4, alphabet=Alphabet("AC")
+    )
+    queries = collection[:4] + random_collection(
+        rng, 3, length_range=(3, 9), theta=0.4, alphabet=Alphabet("AC")
+    )
+    limits = {1, len(collection) // 2}
+    params = dict(
+        k=k, selection=selection, group_mode=group_mode, bound_mode=bound_mode
+    )
+    with tempfile.TemporaryDirectory() as workdir:
+        probed = 0
+        for limit, view in views(kind, collection, k, q, limits, workdir):
+            for query in queries:
+                got = query_candidates(view, query, tau, **params)
+                expected = reference_query_candidates(view, query, tau, **params)
+                assert got == expected, (limit, query)
+                probed += len(got)
+    # The workload must reach the merge, not only the early exits.
+    assert probed or tau > 0.0
+
+
+@pytest.mark.parametrize("kind", VIEWS)
+def test_section_3_2_example_through_the_index(kind, tmp_path):
+    # R = A{(A,0.8),(C,0.2)}AATT probes an index holding R itself. With
+    # k=1, q=3 and window selection, segment 1 is R[0:3] and is matched
+    # by R's windows at starts {0, 1}: AAA occurs at both, overlapping.
+    # Summing per window gives the paper's incorrect 1.32; grouping the
+    # overlapping AAA occurrences gives 0.68.
+    string = parse_uncertain("A{(A,0.8),(C,0.2)}AATT")
+    segment = string.substring(0, 3)
+    naive = sum(
+        prob * segment.instance_probability(word)
+        for start in (0, 1)
+        for word, prob in enumerate_worlds(string.substring(start, 3))
+    )
+    assert naive == pytest.approx(1.32)
+    alpha = segment_match_probability(string, [0, 1], segment, "exact")
+    assert alpha == pytest.approx(0.68)
+
+    params = dict(k=1, selection="window", group_mode="exact", bound_mode="paper")
+    (limit, view), = [
+        item for item in views(kind, [string], 1, 3, set(), tmp_path)
+    ]
+    assert limit == 1
+    got = query_candidates(view, string, 0.0, **params)
+    assert got == reference_query_candidates(view, string, 0.0, **params)
+    (candidate,) = got
+    assert candidate.alphas == (alpha, 1.0)
+    assert candidate.matched_segments == 2

@@ -3,14 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from repro.uncertain.parser import parse_uncertain
+from repro.uncertain.position import UncertainPosition
 from repro.uncertain.string import UncertainString
 from repro.uncertain.worlds import (
     enumerate_joint_worlds,
     enumerate_worlds,
     sample_world,
     world_count,
+)
+
+from tests.helpers import (
+    ONE_MINUS_ULP,
+    reference_enumerate_worlds,
+    uncertain_strings,
 )
 
 
@@ -46,6 +54,57 @@ class TestEnumerateWorlds:
         with pytest.raises(ValueError, match="refusing"):
             list(enumerate_worlds(s, limit=8))
         assert len(list(enumerate_worlds(s, limit=None))) == 16
+
+
+class TestEnumeratorParity:
+    """Skipping positions fixed at exactly 1.0 must leave every world,
+    its order and its float identical to the frozen recursive generator,
+    which multiplies every position in."""
+
+    @given(
+        uncertain_strings(
+            alphabet="ACG", min_length=0, max_length=9, max_uncertain=4,
+            verbatim=True,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_recursive_reference(self, string):
+        assert list(enumerate_worlds(string, limit=None)) == list(
+            reference_enumerate_worlds(string)
+        )
+
+    def test_empty_string_has_one_empty_world(self):
+        empty = UncertainString([])
+        assert list(enumerate_worlds(empty)) == [("", 1.0)]
+        assert list(reference_enumerate_worlds(empty)) == [("", 1.0)]
+
+    def test_all_certain_string(self):
+        certain = UncertainString.from_text("GATTACA")
+        assert list(enumerate_worlds(certain)) == [("GATTACA", 1.0)]
+
+    def test_single_alternative_below_one_is_multiplied(self):
+        # is_certain holds for these positions, but their float is
+        # 1 - 2**-53: it must enter the product as the reference does.
+        near = UncertainPosition.from_normalized([("A", ONE_MINUS_ULP)])
+        assert near.is_certain and near.probs != (1.0,)
+        string = UncertainString(
+            [near, UncertainPosition.certain("C"), near,
+             UncertainPosition({"G": 0.3, "T": 0.7})]
+        )
+        worlds = list(enumerate_worlds(string))
+        assert worlds == list(reference_enumerate_worlds(string))
+        assert worlds[0] == ("ACAT", ONE_MINUS_ULP * ONE_MINUS_ULP * 0.7)
+
+    def test_stays_lazy(self):
+        huge = parse_uncertain("{(A,0.5),(C,0.5)}" * 60)
+        assert huge.world_count() == 2**60
+        assert next(enumerate_worlds(huge, limit=None)) == ("A" * 60, 0.5**60)
+
+    def test_limit_guard_raises_at_call(self):
+        s = parse_uncertain("{(A,0.5),(C,0.5)}" * 4)
+        with pytest.raises(ValueError, match="refusing"):
+            enumerate_worlds(s, limit=15)
+        assert len(list(enumerate_worlds(s, limit=16))) == 16
 
 
 class TestJointWorlds:
