@@ -199,8 +199,9 @@ def _require_one_input(args: argparse.Namespace, command: str) -> "int | None":
 def _open_store(path: str, command: str, config: "JoinConfig | None" = None):
     """Open (and header-check) a store file; ``(None, exit code)`` on failure.
 
-    ``config`` additionally enforces the store/config (k, q) contract,
-    so an incompatible store fails with the typed rebuild hint instead
+    ``config`` additionally enforces the store/config q contract
+    (:meth:`~repro.store.base.StoreMeta.check_compatible`), so an
+    incompatible store fails with the typed rebuild hint instead
     of a traceback.
     """
     from repro.core.errors import ReproError
@@ -501,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-k",
         type=int,
         required=True,
-        help="edit-distance threshold the postings are segmented for "
-        "(joins against the store must use the same k)",
+        help="edit-distance threshold the postings are partitioned for "
+        "(runs at any other k reuse them)",
     )
     index_build.add_argument(
         "-q", type=int, default=3, help="segment length (default 3)"

@@ -25,6 +25,11 @@ The 2k + 1 probed lengths share most query windows, so one query keeps
 one window table (``(start, length)`` → words) for all of them. It is
 local to :func:`query_candidates` and dies with the query.
 
+The view's partition belongs to the index's build k; the probe's
+``k`` sets the length window, substring starts and ``required = m -
+k``. Lemma 5 holds for any m-segment partition, so one index answers
+every k (DESIGN.md §4), except under ``"multimatch"`` selection.
+
 A view answers in *rank* space: posting entries carry the insertion
 rank the index was built under, and every returned candidate's
 ``string_id`` is such a rank. Callers that key results differently
@@ -76,7 +81,8 @@ class PostingView(Protocol):
     """
 
     def partition_of(self, length: int) -> Sequence[Segment]:
-        """Canonical (q, k) partition of strings with ``length``."""
+        """Canonical partition of strings with ``length``, for the
+        ``(q, k)`` the index was built under."""
         ...
 
     def visit_lengths(self) -> Iterable[int]:
@@ -119,9 +125,10 @@ def query_candidates(
     group_mode: GroupMode,
     bound_mode: str,
 ) -> list[IndexCandidate]:
-    """All indexed candidates surviving Lemma 5 + Theorem 2.
+    """All indexed candidates surviving Lemma 5 + Theorem 2 at ``k``.
 
-    Only lengths within ``k`` of ``|query|`` are probed; per length the
+    ``k`` may differ from the view's build k. Only lengths within ``k``
+    of ``|query|`` are probed; per length the
     query's window occurrences are looked up once per segment and the
     hits merged against the posting lists with top-pointer scans.
     Candidates failing the ``>= m - k`` count or whose bound is
@@ -171,8 +178,9 @@ def query_length_candidates(
     m = len(segments)
     required = m - k
     if required <= 0:
-        # Strings shorter than k + 1: the pigeonhole gives no pruning
-        # power, so every indexed string of this length is a candidate.
+        # k edits can touch every segment (short strings, or a probe k
+        # above the build k): this is the length scan, every indexed
+        # string of this length is a candidate.
         return [
             IndexCandidate(
                 string_id=string_id,

@@ -35,7 +35,6 @@ def iter_store_join_pairs(
     hydrated through a bounded LRU — the pair stream is identical to
     the in-memory stream over the same collection.
     """
-    store.meta.check_compatible(config)
     cache_size = getattr(store, "cache_size", DEFAULT_CACHE_SIZE)
     cache = StoreStringCache(store, cache_size)
     engine = JoinEngine(
@@ -68,10 +67,9 @@ def store_similarity_join(
     ``config`` routes exactly as in the in-memory driver: ``workers``
     and ``checkpoint_dir``/``shard`` select the banded parallel path,
     everything else runs the serial visit loop. The store must have
-    been built under the config's ``(k, q)``
+    been built for the config's ``q``
     (:meth:`~repro.store.base.StoreMeta.check_compatible`).
     """
-    store.meta.check_compatible(config)
     if config.workers > 1 or config.checkpoint_dir is not None:
         return parallel_similarity_join(None, config, store=store)
     return _serial_store_join(store, config)

@@ -211,6 +211,34 @@ class TestSearch:
         assert 0 in hits
 
 
+class TestStoreAtAnotherK:
+    """A store built at one k answers search, top-k and join at any k."""
+
+    @pytest.mark.parametrize("k", ["1", "3"])
+    def test_store_output_equals_collection_output(
+        self, collection_file, tmp_path, capsys, k
+    ):
+        store = tmp_path / "names.store"
+        assert main(
+            ["index", "build", str(collection_file), "-o", str(store),
+             "-k", "2"]
+        ) == 0
+        capsys.readouterr()
+        query = load_collection(collection_file)[4].most_probable_instance()[0]
+        threshold = ["-k", k, "--tau", "0.05", "--probabilities"]
+        commands = [
+            (["search"], [query, *threshold]),
+            (["topk"], ["-k", k, "--count", "6"]),
+            (["join"], threshold),
+        ]
+        for command, options in commands:
+            assert main([*command, str(collection_file), *options]) == 0
+            expected = capsys.readouterr().out
+            assert main([*command, "--store", str(store), *options]) == 0
+            assert capsys.readouterr().out == expected
+            assert expected.strip()
+
+
 class TestVerify:
     def test_verify_prints_probability(self, capsys):
         assert main(

@@ -98,9 +98,10 @@ class TestSearchParity:
         text = texts(collection)[0]
         document = service.search(text, k=1)
         assert document["k"] == 1
-        # The segment index is built for the native k, so a k=1 request
-        # drops the q-gram filter: FCT instead of QFCT.
-        assert document["algorithm"] == "FCT"
+        # A k=1 request probes the index built for the native k=2: the
+        # q-gram stage stays on, and the answer still equals the FCT
+        # variant's, which never reads the index.
+        assert document["algorithm"] == "QFCT"
         offline_config = JoinConfig.for_algorithm(
             "FCT", k=1, tau=config.tau, report_probabilities=True
         )
@@ -167,6 +168,44 @@ class TestMiniJoin:
         ]
         assert served == expected
         assert document["degraded"] is False
+
+
+class TestRequestK:
+    """A request's k is bounded by the longest string it can touch: at
+    that k every length-eligible pair is already similar, and the CDF
+    bounds allocate O(k) rows per pair."""
+
+    def test_huge_k_is_a_quick_bad_request(self, service, collection):
+        text = texts(collection)[0]
+        started = time.perf_counter()
+        for document in (
+            service.search(text, k=10_000),
+            service.topk(text, 3, k=10_000),
+            service.mini_join(texts(collection), k=10_000),
+        ):
+            assert document["error"]["type"] == "bad_request"
+            assert "longest string" in document["error"]["detail"]
+        assert time.perf_counter() - started < 1.0
+
+    def test_k_at_the_bound_is_answered(self, config):
+        # Short strings keep verification at k = |longest| cheap.
+        small = random_collection(random.Random(5), 10, length_range=(3, 6))
+        service = JoinService(small, config)
+        longest = max(len(s) for s in small)
+        query = texts(small)[0]
+        document = service.search(query, k=longest)
+        # Every string is within k edits of the query for certain.
+        assert document["count"] == len(small)
+        for match in document["matches"]:
+            assert match["probability"] == pytest.approx(1.0)
+        assert service.topk(query, 3, k=longest)["count"] == 3
+        payload = texts(small, 4)
+        bound = max(len(parse_uncertain(t)) for t in payload)
+        assert service.mini_join(payload, k=bound)["count"] == 6
+        assert (
+            service.mini_join(payload, k=bound + 1)["error"]["type"]
+            == "bad_request"
+        )
 
 
 class TestDegradation:
