@@ -99,6 +99,11 @@ class SimilaritySearcher:
         return searcher
 
     @property
+    def context(self) -> CollectionContext:
+        """The collection's feature context, shared by every query."""
+        return self._context
+
+    @property
     def engine(self) -> JoinEngine:
         """The underlying engine (candidate source, stage chain)."""
         return self._engine

@@ -68,10 +68,3 @@ def advance_active_nodes(active: ActiveNodes, char: str, k: int) -> ActiveNodes:
             if candidates.get(child, k + 1) > down:
                 candidates[child] = down
     return candidates
-
-
-def active_leaf_probability(active: ActiveNodes, leaf_depth: int) -> float:
-    """Total probability mass of active *leaves* (depth == ``leaf_depth``)."""
-    return sum(
-        node.prob for node in active if node.depth == leaf_depth
-    )

@@ -189,7 +189,7 @@ class TestCandidateSources:
             for string_id, string in strings.items():
                 source.add(string_id, string, stats)
             assert len(source) == 3
-            ids = [cid for cid, _ in source.probe(query, 0.0, stats)]
+            ids = [cid for cid, _ in source.probe(query, 0.0, stats, 1)]
             # id 99 is length-pruned; insertion (rank) order preserved.
             assert ids == [17, 5]
 
