@@ -21,6 +21,13 @@ are :func:`~repro.filters.alpha.substring_occurrences` and
 :func:`~repro.filters.alpha.occurrence_weight`, the same helpers that
 build :func:`~repro.filters.alpha.equivalent_substring_set`.
 
+Per segment the view is asked one thing: :meth:`PostingView.posting_lists`.
+The probe does not first ask :meth:`PostingView.has_segment` — every
+segment of a visited length has postings, and a segment that had none
+would read as an empty answer, which the pigeonhole count already
+handles. For the SQLite store that check would be one more round trip
+per probed segment, deciding nothing.
+
 The 2k + 1 probed lengths share most query windows, so one query keeps
 one window table (``(start, length)`` → words) for all of them. It is
 local to :func:`query_candidates` and dies with the query.
@@ -96,9 +103,10 @@ class PostingView(Protocol):
     def has_segment(self, length: int, segment_index: int) -> bool:
         """Whether any posting list exists for ``(length, segment)``.
 
-        Purely a short-circuit — a ``True`` for an ultimately empty
-        segment only costs a :meth:`posting_lists` call that finds
-        nothing, never changes a result.
+        Not on the probe path: every segment of a visited length has
+        postings, and an empty one shows up as an empty
+        :meth:`posting_lists` answer anyway. Kept for callers that ask
+        about the index's layout (the tests' frozen reference probe).
         """
         ...
 
@@ -196,7 +204,7 @@ def query_length_candidates(
     for segment in segments:
         merged: list[tuple[int, float]] = []
         starts = substring_starts(segment, len(query), length, k, m, selection)
-        if starts and view.has_segment(length, segment.index):
+        if starts:
             occurrences = substring_occurrences(
                 query, starts, segment.length, windows
             )

@@ -125,7 +125,10 @@ class IndexStore(Protocol):
     def has_segment(
         self, length: int, segment_index: int, rank_limit: int
     ) -> bool:
-        """Any posting for ``(length, segment)`` below ``rank_limit``?"""
+        """Any posting for ``(length, segment)`` below ``rank_limit``?
+
+        Not on the probe path (see :mod:`repro.index.probe`).
+        """
         ...
 
     def posting_lists(

@@ -196,28 +196,36 @@ class StoreContext(CollectionContext):
     and rebuilding one cannot change any result — the bound turns the
     context's O(collection) growth into O(capacity) at a pure time
     cost. Negative pseudo-ids stay fresh-per-call as in the base class.
+    A lock guards the LRU (a serving generation shares one context
+    among its request threads); features are built outside it.
     """
 
-    __slots__ = ("_capacity",)
+    __slots__ = ("_capacity", "_lock")
 
     def __init__(self, capacity: int = DEFAULT_CACHE_SIZE) -> None:
         super().__init__()
         self._features: "OrderedDict[int, StringFeatures]" = OrderedDict()
         self._capacity = max(1, capacity)
+        self._lock = threading.Lock()
 
     def features(
         self, string_id: int, string: UncertainString
     ) -> StringFeatures:
         if string_id < 0:
             return StringFeatures(string)
-        features = self._features.get(string_id)
-        if features is None:
-            features = StringFeatures(string)
-            self._features[string_id] = features
+        with self._lock:
+            features = self._features.get(string_id)
+            if features is not None:
+                self._features.move_to_end(string_id)
+                return features
+        built = StringFeatures(string)
+        with self._lock:
+            # A racing thread may have built the same id meanwhile:
+            # keep the first, so every caller shares one object.
+            features = self._features.setdefault(string_id, built)
+            self._features.move_to_end(string_id)
             while len(self._features) > self._capacity:
                 self._features.popitem(last=False)
-        else:
-            self._features.move_to_end(string_id)
         return features
 
 

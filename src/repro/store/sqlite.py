@@ -15,10 +15,13 @@ One database file holds the whole built index:
     normalization), so hydrated strings and postings carry the same
     floats the builder saw.
 ``postings``
-    One row per posting entry ``(length, segment, word, rank, prob)``,
-    covered by a unique index in exactly the probe's access order.
-    ``prob`` is a SQLite REAL — an IEEE double, stored and returned
-    bit-exactly.
+    One row per posting entry ``(length, segment, word, rank, prob)``
+    in a ``WITHOUT ROWID`` table whose primary key ``(length, segment,
+    word, rank)`` is exactly the probe's access order, so each entry is
+    stored once, in the key's b-tree. ``prob`` is a SQLite REAL — an
+    IEEE double, stored and returned bit-exactly. Files of the earlier
+    layout (a heap table plus a unique index on the same columns)
+    answer the same SQL and still open.
 
 Probes run batched ``IN (...)`` lookups (chunked under SQLite's bound
 -variable cap) with a ``rank < ?`` predicate, so a prefix probe against
@@ -82,9 +85,10 @@ def build_sqlite_store(
     Two passes, both O(batch) in memory: records stream into an ingest
     table (ids = arrival order, digest accumulated on the fly), ranks
     are assigned by one ``ORDER BY length, id`` window query, then each
-    string is re-read in rank order and its segment worlds inserted as
-    postings. The posting index is created after the bulk load (bulk
-    insert + index build beats maintaining a b-tree under random word
+    string is re-read in rank order and its segment worlds staged as
+    postings in a ``TEMP`` table. One sorted ``INSERT ... SELECT`` then
+    moves them into the ``WITHOUT ROWID`` postings table in key order
+    (appending to a b-tree beats inserting into it in random word
     order). The finished database is moved into place atomically
     (unique tmp name + fsync + ``os.replace``), so a crashed build
     never leaves a half-written store where a reader expects one.
@@ -118,6 +122,14 @@ def build_sqlite_store(
                 text TEXT NOT NULL
             );
             CREATE TABLE postings (
+                length INTEGER NOT NULL,
+                segment INTEGER NOT NULL,
+                word TEXT NOT NULL,
+                rank INTEGER NOT NULL,
+                prob REAL NOT NULL,
+                PRIMARY KEY (length, segment, word, rank)
+            ) WITHOUT ROWID;
+            CREATE TEMP TABLE staging (
                 length INTEGER NOT NULL,
                 segment INTEGER NOT NULL,
                 word TEXT NOT NULL,
@@ -168,16 +180,19 @@ def build_sqlite_store(
                         entry_count += 1
             if len(postings) >= _BUILD_BATCH:
                 connection.executemany(
-                    "INSERT INTO postings VALUES (?, ?, ?, ?, ?)", postings
+                    "INSERT INTO staging VALUES (?, ?, ?, ?, ?)", postings
                 )
                 postings.clear()
         if postings:
             connection.executemany(
-                "INSERT INTO postings VALUES (?, ?, ?, ?, ?)", postings
+                "INSERT INTO staging VALUES (?, ?, ?, ?, ?)", postings
             )
-        connection.execute(
-            "CREATE UNIQUE INDEX ix_postings "
-            "ON postings (length, segment, word, rank)"
+        connection.executescript(
+            """
+            INSERT INTO postings
+            SELECT * FROM staging ORDER BY length, segment, word, rank;
+            DROP TABLE staging;
+            """
         )
         meta = StoreMeta(
             k=k,

@@ -82,19 +82,24 @@ class UncertainPosition:
 
     @classmethod
     def certain(cls, char: str) -> "UncertainPosition":
-        """A deterministic position: ``char`` with probability 1.
+        """The deterministic position ``char`` with probability 1.
 
-        Most positions of most strings are certain, so this skips the
-        general constructor: a single alternative at 1.0 needs no sum
-        check, normalization or sort.
+        Most positions of most strings are certain, so there is one
+        shared instance per character: positions are immutable and
+        compare by value, and parsing a string then costs no object or
+        pdf dict per certain character.
         """
+        try:
+            return _CERTAIN[char]
+        except (KeyError, TypeError):  # new, or unhashable: validate
+            pass
         if not isinstance(char, str) or len(char) != 1:
             raise ValueError(f"alternative {char!r} is not a single character")
         position = cls.__new__(cls)
         position._chars = (char,)
         position._probs = (1.0,)
         position._pdf = {char: 1.0}
-        return position
+        return _CERTAIN.setdefault(char, position)
 
     @property
     def chars(self) -> tuple[str, ...]:
@@ -167,8 +172,19 @@ class UncertainPosition:
     def __hash__(self) -> int:
         return hash((self._chars, self._probs))
 
+    def __reduce__(self) -> tuple:
+        # A certain position unpickles to the shared instance; the
+        # others keep their floats verbatim.
+        if self._probs == (1.0,):
+            return (UncertainPosition.certain, (self._chars[0],))
+        return (UncertainPosition.from_normalized, (list(self.items()),))
+
     def __repr__(self) -> str:
         if self.is_certain:
             return f"UncertainPosition.certain({self._chars[0]!r})"
         body = ", ".join(f"({c!r}, {p:.6g})" for c, p in self.items())
         return f"UncertainPosition([{body}])"
+
+
+#: The shared :meth:`UncertainPosition.certain` instance of each character.
+_CERTAIN: dict[str, UncertainPosition] = {}

@@ -1,10 +1,14 @@
 """Tests for repro.uncertain.position."""
 
+import pickle
 import random
 
 import pytest
 
+from repro.datasets.loader import load_collection
+from repro.uncertain.parser import parse_normalized, parse_uncertain
 from repro.uncertain.position import UncertainPosition
+from repro.uncertain.string import UncertainString
 
 
 class TestConstruction:
@@ -24,7 +28,7 @@ class TestConstruction:
         assert pos.probability("Q") == 1.0
         assert pos == UncertainPosition({"Q": 1.0})
         assert (pos.chars, pos.probs, pos.pdf) == (("Q",), (1.0,), {"Q": 1.0})
-        for bad in ("", "QQ", 7):
+        for bad in ("", "QQ", 7, "ab", 1, ["a"], None):
             with pytest.raises(ValueError, match="single character"):
                 UncertainPosition.certain(bad)
 
@@ -115,3 +119,57 @@ class TestProtocol:
 
     def test_repr_round_trips_certain(self):
         assert "certain" in repr(UncertainPosition.certain("A"))
+
+
+class TestSharedCertain:
+    """One shared object per certain character, equal to any other
+    certain position of that character."""
+
+    def test_certain_is_shared(self):
+        assert UncertainPosition.certain("Q") is UncertainPosition.certain("Q")
+        assert UncertainPosition.certain("Q") is not UncertainPosition.certain("R")
+
+    def test_unhashable_argument_is_a_value_error(self):
+        # The shared-instance lookup must not turn the validation error
+        # into a TypeError.
+        for bad in (["a"], {"a": 1.0}, {"a"}):
+            with pytest.raises(ValueError, match="single character"):
+                UncertainPosition.certain(bad)
+
+    def test_equality_and_hash_unchanged(self):
+        shared = UncertainPosition.certain("A")
+        built = UncertainPosition({"A": 1.0})
+        assert built is not shared
+        assert built == shared and hash(built) == hash(shared)
+        assert UncertainPosition.from_normalized([("A", 1.0)]) == shared
+
+    @pytest.mark.parametrize("parse", [parse_uncertain, parse_normalized])
+    def test_parsers_share_certain_positions(self, parse):
+        string = parse("AB{(A,0.5),(C,0.5)}BA")
+        assert string[0] is string[4] is UncertainPosition.certain("A")
+        assert string[1] is string[3] is UncertainPosition.certain("B")
+        assert not string[2].is_certain
+
+    def test_from_text_shares_certain_positions(self):
+        string = UncertainString.from_text("ABBA")
+        assert string[0] is string[3] is UncertainPosition.certain("A")
+        assert string[1] is string[2] is UncertainPosition.certain("B")
+
+    def test_loader_shares_certain_positions(self, tmp_path):
+        path = tmp_path / "names.txt"
+        path.write_text("AB{(A,0.5),(C,0.5)}\nBA\n")
+        first, second = load_collection(path)
+        assert first[0] is second[1] is UncertainPosition.certain("A")
+        assert first[1] is second[0] is UncertainPosition.certain("B")
+
+    def test_pickle_round_trip(self):
+        shared = UncertainPosition.certain("A")
+        assert pickle.loads(pickle.dumps(shared)) is shared
+        string = parse_uncertain("A{(A,0.3),(C,0.7)}A")
+        clone = pickle.loads(pickle.dumps(string))
+        assert clone == string
+        assert clone[0] is clone[2] is shared
+        assert clone[1].probs == string[1].probs
+        # A single alternative below 1.0 keeps its float verbatim.
+        near = UncertainPosition.from_normalized([("A", 1.0 - 1e-9)])
+        assert pickle.loads(pickle.dumps(near)).probs == near.probs

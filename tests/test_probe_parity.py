@@ -142,3 +142,44 @@ def test_section_3_2_example_through_the_index(kind, tmp_path):
     (candidate,) = got
     assert candidate.alphas == (alpha, 1.0)
     assert candidate.matched_segments == 2
+
+
+class _NoHasSegment:
+    """A posting view whose ``has_segment`` fails: the probe asks each
+    segment for its posting lists only."""
+
+    def __init__(self, view):
+        self._view = view
+
+    def __getattr__(self, name):
+        return getattr(self._view, name)
+
+    def has_segment(self, length, segment_index):
+        raise AssertionError("has_segment is not on the probe path")
+
+
+@pytest.mark.parametrize("kind", ("index", "sqlite"))
+@pytest.mark.parametrize("seed", range(4))
+def test_probe_never_asks_has_segment(kind, seed, tmp_path):
+    rng = random.Random(seed)
+    collection = random_collection(
+        rng, 12, length_range=(3, 9), theta=0.4, alphabet=Alphabet("AC")
+    )
+    limits = {1, len(collection) // 2}
+    probed = 0
+    # Indexes built at k=2 answer probes at k = 1, 2 and 3 (a length
+    # scan for the shortest strings).
+    for k in (1, 2, 3):
+        for selection in SELECTION_MODES:
+            params = dict(
+                k=k, selection=selection, group_mode="exact", bound_mode="paper"
+            )
+            workdir = tmp_path / f"{k}-{selection}"
+            workdir.mkdir()
+            for limit, view in views(kind, collection, 2, 2, limits, workdir):
+                for query in collection[:4]:
+                    got = query_candidates(_NoHasSegment(view), query, 0.0, **params)
+                    expected = reference_query_candidates(view, query, 0.0, **params)
+                    assert got == expected, (k, selection, limit, query)
+                    probed += len(got)
+    assert probed

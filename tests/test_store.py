@@ -269,6 +269,96 @@ class TestStoreEquivalence:
         )
 
 
+#: The postings layout of stores built before postings moved into a
+#: ``WITHOUT ROWID`` table: a heap table plus a unique index on the key.
+OLD_LAYOUT = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE strings (
+    rank INTEGER PRIMARY KEY,
+    id INTEGER NOT NULL,
+    length INTEGER NOT NULL,
+    text TEXT NOT NULL
+);
+CREATE TABLE postings (
+    length INTEGER NOT NULL,
+    segment INTEGER NOT NULL,
+    word TEXT NOT NULL,
+    rank INTEGER NOT NULL,
+    prob REAL NOT NULL
+);
+INSERT INTO meta SELECT * FROM new.meta;
+INSERT INTO strings SELECT * FROM new.strings;
+INSERT INTO postings SELECT * FROM new.postings ORDER BY rank;
+CREATE UNIQUE INDEX ix_strings_id ON strings (id);
+CREATE UNIQUE INDEX ix_postings ON postings (length, segment, word, rank);
+"""
+
+
+class TestPostingsLayout:
+    """Postings are stored once, in a ``WITHOUT ROWID`` table keyed in
+    the probe's access order; files of the older layout still open."""
+
+    @pytest.fixture(scope="class")
+    def old_store(self, sqlite_store, tmp_path_factory):
+        path = tmp_path_factory.mktemp("old") / "index.db"
+        connection = sqlite3.connect(path)
+        connection.execute("ATTACH DATABASE ? AS new", (sqlite_store.path,))
+        connection.executescript(OLD_LAYOUT)
+        connection.commit()
+        connection.close()
+        return SqliteStore(path)
+
+    @staticmethod
+    def schema(path):
+        connection = sqlite3.connect(path)
+        try:
+            return dict(
+                connection.execute("SELECT name, sql FROM sqlite_schema")
+            )
+        finally:
+            connection.close()
+
+    def test_postings_without_rowid(self, sqlite_store):
+        schema = self.schema(sqlite_store.path)
+        assert "WITHOUT ROWID" in schema["postings"]
+        assert "PRIMARY KEY (length, segment, word, rank)" in schema["postings"]
+        assert "ix_postings" not in schema
+        assert "staging" not in schema and "ingest" not in schema
+
+    def test_old_layout_answers_the_same(
+        self, memory_store, sqlite_store, old_store
+    ):
+        assert "ix_postings" in self.schema(old_store.path)
+        assert old_store.meta == sqlite_store.meta
+        count = len(memory_store)
+        checked = 0
+        for (length, segment_index), lists in memory_store._lists.items():
+            words = sorted(lists)
+            for limit in range(count + 1):
+                assert old_store.posting_lists(
+                    length, segment_index, words, limit
+                ) == sqlite_store.posting_lists(
+                    length, segment_index, words, limit
+                )
+                assert old_store.has_segment(
+                    length, segment_index, limit
+                ) == sqlite_store.has_segment(length, segment_index, limit)
+                checked += 1
+        assert checked > 0
+
+    def test_old_layout_joins_the_same(self, old_store, sqlite_store):
+        config = JoinConfig(k=K, tau=0.15, q=Q)
+        assert (
+            store_similarity_join(old_store, config).pairs
+            == store_similarity_join(sqlite_store, config).pairs
+        )
+
+    def test_new_layout_is_smaller(self, sqlite_store, old_store):
+        assert Path(sqlite_store.path).stat().st_size < Path(
+            old_store.path
+        ).stat().st_size
+
+
 class TestStoredFloats:
     """A store holds exactly the floats of the collection it was built
     from. Normalized probabilities often sum to 1 ± 1 ulp, so dividing
@@ -417,6 +507,35 @@ class TestStoreContext:
         assert rebuilt is not features[0]  # evicted, rebuilt fresh
         assert rebuilt.length == features[0].length
 
+    def test_shared_across_threads(self, collection):
+        context = StoreContext(capacity=3)
+        errors: list[BaseException] = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(20000):
+                    # Few ids over a smaller capacity: frequent hits,
+                    # each racing another thread's eviction.
+                    string_id = rng.randrange(5)
+                    got = context.features(string_id, collection[string_id])
+                    assert got.length == len(collection[string_id])
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the readers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(context._features) <= 3
+
     def test_negative_ids_stay_fresh(self, collection):
         context = StoreContext(capacity=4)
         assert context.features(-1, collection[0]) is not context.features(
@@ -450,6 +569,29 @@ class TestDriverParity:
     def test_serial_join(self, collection, store, reference):
         outcome = store_similarity_join(store, JoinConfig(k=K, tau=0.15, q=Q))
         assert outcome.pairs == reference.pairs
+
+    def test_serial_join_never_asks_has_segment(
+        self, sqlite_store, reference, monkeypatch
+    ):
+        calls = {"has_segment": 0, "posting_lists": 0}
+        posting_lists = SqliteStore.posting_lists
+
+        def has_segment(self, *args):
+            calls["has_segment"] += 1
+            return True
+
+        def counted_posting_lists(self, *args):
+            calls["posting_lists"] += 1
+            return posting_lists(self, *args)
+
+        monkeypatch.setattr(SqliteStore, "has_segment", has_segment)
+        monkeypatch.setattr(SqliteStore, "posting_lists", counted_posting_lists)
+        outcome = store_similarity_join(
+            SqliteStore(sqlite_store.path), JoinConfig(k=K, tau=0.15, q=Q)
+        )
+        assert outcome.pairs == reference.pairs
+        assert calls["has_segment"] == 0
+        assert calls["posting_lists"] > 0
 
     def test_serial_join_tiny_cache(self, collection, sqlite_store):
         small = SqliteStore(sqlite_store.path, cache_size=4)
