@@ -50,6 +50,9 @@ TOPK_COUNT = 5
 # server is not the clients' issue order, so the check counts outcomes
 # by kind instead of expecting each fault at a given issue index.
 FAULTS = "slow@2/0.4,drop@5,corrupt-resp@8,crash@11"
+# How long the final /stats check waits for the last admission slot to
+# be released before it fails.
+STATS_SETTLE_S = 5.0
 
 
 def check(label: str, condition: bool) -> None:
@@ -196,9 +199,17 @@ def main() -> int:
     probe.request("GET", "/readyz")
     readyz = probe.getresponse()
     ready_doc = json.loads(readyz.read())
-    probe.request("GET", "/stats")
-    stats = probe.getresponse()
-    stats_doc = json.loads(stats.read())
+    # A handler releases its admission slot only after its response is
+    # sent, so the client can read the last answer before the slot is
+    # free: poll /stats (bounded) until the server reports it idle.
+    settle_by = time.monotonic() + STATS_SETTLE_S
+    while True:
+        probe.request("GET", "/stats")
+        stats_doc = json.loads(probe.getresponse().read())
+        if (stats_doc["admission"]["in_flight"] == 0
+                or time.monotonic() >= settle_by):
+            break
+        time.sleep(0.05)
     probe.close()
     check("healthz/readyz answer", healthz.status == 200
           and readyz.status == 200 and ready_doc["status"] == "ready")

@@ -6,11 +6,17 @@ Section 6's DPs reuse per-position distributions, and PASS-JOIN-style
 segment indexing amortizes partitioning over the collection. This
 module is that discipline made explicit: a :class:`CollectionContext`
 owns one immutable :class:`StringFeatures` per string id — frequency
-profile, support alphabet (frozenset + sorted tuple), the
-certain-string fast-path flag with its materialized text, and
-agreement-ready per-position ``(chars, probs)`` arrays — computed at
-most once per collection and shared by every filter stage, engine, and
-(via fork or a single per-worker pickle) every parallel band worker.
+profile, support alphabet (frozenset + sorted tuple) and the
+certain-string fast-path flag — computed at most once per collection
+and shared by every filter stage, engine, and (via fork or a single
+per-worker pickle) every parallel band worker.
+
+Per-position data is not copied here. The certainty flag, the support
+and a certain string's one world (which the CDF filter compares) come
+from the string's one derived form, :meth:`UncertainString.heavy_form`:
+the heavy text plus the indices of the *weighted* positions, those not
+exactly ``(1.0,)``. A single alternative kept verbatim at
+``1 - 2**-53`` is weighted, yet certain.
 
 Ids follow the engine convention: non-negative ids are collection
 strings whose features persist for the context's lifetime; negative
@@ -29,20 +35,17 @@ from repro.uncertain.string import UncertainString
 class StringFeatures:
     """Immutable per-string features shared by the filter kernels.
 
-    Cheap features (length, certainty flag, materialized certain text,
-    per-position arrays) are computed at construction; the frequency
-    profile and support alphabet are built lazily on first use and
-    cached — :meth:`ensure_profile` forces them for contexts that are
-    published to worker processes.
+    Cheap features (length, certainty flag) are computed at
+    construction from the string's heavy form; the frequency profile
+    and support alphabet are built lazily on first use and cached —
+    :meth:`ensure_profile` forces them for contexts that are published
+    to worker processes.
     """
 
     __slots__ = (
         "string",
         "length",
         "is_certain",
-        "certain_text",
-        "position_chars",
-        "position_probs",
         "_profile",
         "_support",
         "_sorted_support",
@@ -51,22 +54,8 @@ class StringFeatures:
 
     def __init__(self, string: UncertainString) -> None:
         self.string = string
-        positions = string.positions
-        self.length = len(positions)
-        self.is_certain = all(pos.is_certain for pos in positions)
-        #: The single possible world, or ``None`` for uncertain strings.
-        self.certain_text: str | None = (
-            "".join(pos.top for pos in positions) if self.is_certain else None
-        )
-        #: Agreement-ready arrays: ``position_chars[i]`` / ``position_probs[i]``
-        #: are the support and probabilities of position ``i``, most
-        #: probable first (the layout ``UncertainPosition.agreement`` walks).
-        self.position_chars: tuple[tuple[str, ...], ...] = tuple(
-            pos.chars for pos in positions
-        )
-        self.position_probs: tuple[tuple[float, ...], ...] = tuple(
-            pos.probs for pos in positions
-        )
+        self.length = len(string)
+        self.is_certain = string.is_certain
         self._profile: FrequencyProfile | None = None
         self._support: frozenset[str] | None = None
         self._sorted_support: tuple[str, ...] | None = None
@@ -98,9 +87,7 @@ class StringFeatures:
             if self._profile is not None:
                 self._support = self._profile.chars()
             else:
-                self._support = frozenset(
-                    char for chars in self.position_chars for char in chars
-                )
+                self._support = frozenset(self.string.support_alphabet())
         return self._support
 
     @property

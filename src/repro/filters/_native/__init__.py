@@ -206,20 +206,18 @@ def _build_string_pack(string: UncertainString) -> _StringPack:
     offs = [0]
     codes: list[int] = []
     probs: list[float] = []
-    is_certain = True
     for entry in table:
         if type(entry) is str:
             codes.append(ord(entry))
             probs.append(1.0)
         else:
-            is_certain = False
             chars, entry_probs, _pdf = entry  # type: ignore[misc]
             codes.extend(ord(char) for char in chars)
             probs.extend(entry_probs)
         offs.append(len(codes))
     return _StringPack(
         array("i", offs), array("i", codes), array("d", probs),
-        len(table), is_certain,
+        len(table), string.is_certain,
     )
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from repro.uncertain.string import UncertainString
-from repro.uncertain.worlds import enumerate_worlds
+from repro.uncertain.worlds import window_worlds
 
 GroupMode = Literal["beta", "exact"]
 
@@ -177,9 +177,7 @@ def substring_occurrences(
         if words is None:
             words = windows[start, length] = tuple(
                 word
-                for word, prob in enumerate_worlds(
-                    string.substring(start, length), limit=None
-                )
+                for word, prob in window_worlds(string, start, length)
                 if prob > 0.0
             )
         for word in words:

@@ -168,11 +168,12 @@ def cdf_bounds(
 
     Returns the final cell's arrays. Lengths differing by more than ``k``
     yield all-zero bounds immediately. ``left_features``/``right_features``
-    accept per-collection feature objects (anything with ``is_certain``
-    and ``certain_text`` attributes, e.g.
-    :class:`repro.core.context.StringFeatures`) so the certainty scan
-    and one-world text materialization are paid once per collection
-    instead of once per pair; when omitted they are computed here.
+    accept per-collection feature objects (anything with an
+    ``is_certain`` attribute, e.g.
+    :class:`repro.core.context.StringFeatures`) so the certainty test
+    is paid once per collection instead of once per pair; when omitted
+    it is read from the strings. A certain string's one world is its
+    heavy text (:meth:`UncertainString.heavy_form`).
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
@@ -180,27 +181,15 @@ def cdf_bounds(
     if abs(n - m) > k:
         return _zero_cell(k)
 
-    if left_features is not None:
-        left_certain = left_features.is_certain  # type: ignore[attr-defined]
-        left_text = left_features.certain_text  # type: ignore[attr-defined]
-    else:
-        left_certain = left.is_certain
-        left_text = None
-    if right_features is not None:
-        right_certain = right_features.is_certain  # type: ignore[attr-defined]
-        right_text = right_features.certain_text  # type: ignore[attr-defined]
-    else:
-        right_certain = right.is_certain
-        right_text = None
+    left_certain = (left_features or left).is_certain  # type: ignore[attr-defined]
+    right_certain = (right_features or right).is_certain  # type: ignore[attr-defined]
     if left_certain and right_certain:
         # One joint world: the DP's L and U both collapse to the exact
         # indicator [ed <= j] (each transition keeps 0/1 values tight),
         # which is what the integer banded kernel computes directly.
-        if left_text is None:
-            left_text = "".join(left.agreement_table())  # type: ignore[arg-type]
-        if right_text is None:
-            right_text = "".join(right.agreement_table())  # type: ignore[arg-type]
-        distance = edit_distance_banded(left_text, right_text, k)
+        distance = edit_distance_banded(
+            left.heavy_form()[0], right.heavy_form()[0], k
+        )
         if distance > k:
             return _zero_cell(k)
         return _boundary_cell(distance, k)

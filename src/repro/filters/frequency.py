@@ -17,6 +17,7 @@ the join stores alongside its index.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -141,15 +142,17 @@ class FrequencyProfile:
 
     def __init__(self, string: UncertainString) -> None:
         self.length = len(string)
-        # One pass over the positions: certain counts per character, and
-        # each character's uncertain probabilities in position order (the
-        # lists char_position_probs would return).
-        certain: dict[str, int] = {}
+        # From the heavy form: certain counts are the text's, less the
+        # multi-alternative positions among the weighted ones; those
+        # give each character's uncertain probabilities in position
+        # order (the lists char_position_probs would return).
+        text, weighted = string.heavy_form()
+        certain = Counter(text)
         uncertain: dict[str, list[float]] = {}
-        for pos in string:
-            if pos.is_certain:
-                certain[pos.top] = certain.get(pos.top, 0) + 1
-            else:
+        for index in weighted:
+            pos = string[index]
+            if not pos.is_certain:
+                certain[pos.top] -= 1
                 for char, prob in pos.items():
                     uncertain.setdefault(char, []).append(prob)
         by_char: dict[str, CharCountDistribution] = {}

@@ -21,7 +21,7 @@ from repro.index.probe import IndexCandidate, query_candidates
 from repro.partition.even import Segment, partition_for
 from repro.partition.selection import SelectionMode
 from repro.uncertain.string import UncertainString
-from repro.uncertain.worlds import enumerate_worlds
+from repro.uncertain.worlds import window_worlds
 
 __all__ = ["IndexCandidate", "SegmentInvertedIndex"]
 
@@ -95,8 +95,9 @@ class SegmentInvertedIndex:
         self._ids_by_length.setdefault(length, []).append(string_id)
         for segment in self.partition_of(length):
             lists = self._lists.setdefault((length, segment.index), {})
-            piece = string.substring(segment.start, segment.length)
-            for word, prob in enumerate_worlds(piece, limit=None):
+            for word, prob in window_worlds(
+                string, segment.start, segment.length
+            ):
                 if prob > 0.0:
                     lists.setdefault(word, []).append((string_id, prob))
                     self._entry_count += 1

@@ -5,13 +5,17 @@ parallel: at each step the minimum string-id among the list heads is
 popped, its ``alpha_x`` contribution accumulated from every list currently
 headed by that id, and the corresponding top pointers advanced. A second
 merge across the per-segment result lists ``L_{alpha_x}`` counts, per
-string id, how many segments matched. Both are classic k-way merges,
-implemented here with a heap over the list heads.
+string id, how many segments matched.
+
+Both merges are written as accumulate-then-sort: one pass over the lists
+in order into a dict keyed by id, then one sort of the ids. A k-way heap
+merge over the list heads pops a tied id from the lists in list order,
+so it adds the same terms in the same order as the pass over the lists
+does, and every sum is bit-identical to the heap's.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Sequence
 
 #: A posting: (string id, probability attached to this id in this list).
@@ -26,26 +30,13 @@ def merge_weighted_postings(
     ``lists`` holds ``(weight, postings)`` pairs — weight is ``p_r(w)`` for
     the substring the list belongs to, and each posting carries
     ``Pr(w = S_i^x)``. Output is sorted by string id; each id appears once
-    with its accumulated ``alpha_x`` contribution.
+    with its ``alpha_x`` contribution, summed from ``0.0`` in list order.
     """
-    heap: list[tuple[int, int, int]] = []
-    for which, (weight, postings) in enumerate(lists):
-        if postings:
-            heap.append((postings[0][0], which, 0))
-    heapq.heapify(heap)
-    merged: list[Posting] = []
-    while heap:
-        current_id = heap[0][0]
-        alpha = 0.0
-        while heap and heap[0][0] == current_id:
-            _, which, offset = heapq.heappop(heap)
-            weight, postings = lists[which]
-            alpha += weight * postings[offset][1]
-            offset += 1
-            if offset < len(postings):
-                heapq.heappush(heap, (postings[offset][0], which, offset))
-        merged.append((current_id, alpha))
-    return merged
+    alphas: dict[int, float] = {}
+    for weight, postings in lists:
+        for string_id, prob in postings:
+            alphas[string_id] = alphas.get(string_id, 0.0) + weight * prob
+    return sorted(alphas.items())
 
 
 def join_sorted_lists(
@@ -58,21 +49,8 @@ def join_sorted_lists(
     appeared — exactly the information needed to count matched segments
     (Lemma 5) and to feed the Theorem 2 DP.
     """
-    heap: list[tuple[int, int, int]] = []
+    joined: dict[int, list[tuple[int, float]]] = {}
     for which, postings in enumerate(lists):
-        if postings:
-            heap.append((postings[0][0], which, 0))
-    heapq.heapify(heap)
-    joined: list[tuple[int, list[tuple[int, float]]]] = []
-    while heap:
-        current_id = heap[0][0]
-        entries: list[tuple[int, float]] = []
-        while heap and heap[0][0] == current_id:
-            _, which, offset = heapq.heappop(heap)
-            postings = lists[which]
-            entries.append((which, postings[offset][1]))
-            offset += 1
-            if offset < len(postings):
-                heapq.heappush(heap, (postings[offset][0], which, offset))
-        joined.append((current_id, entries))
-    return joined
+        for string_id, alpha in postings:
+            joined.setdefault(string_id, []).append((which, alpha))
+    return sorted(joined.items())

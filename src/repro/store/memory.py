@@ -18,7 +18,7 @@ from repro.partition.even import partition_for
 from repro.store.base import STORE_PRECISION, StoreMeta
 from repro.uncertain.parser import format_uncertain
 from repro.uncertain.string import UncertainString
-from repro.uncertain.worlds import enumerate_worlds
+from repro.uncertain.worlds import window_worlds
 
 
 def collection_digest(collection: Iterable[UncertainString]) -> str:
@@ -67,8 +67,9 @@ class MemoryStore:
             )
             for segment in partition:
                 lists = self._lists.setdefault((length, segment.index), {})
-                piece = string.substring(segment.start, segment.length)
-                for word, prob in enumerate_worlds(piece, limit=None):
+                for word, prob in window_worlds(
+                    string, segment.start, segment.length
+                ):
                     if prob > 0.0:
                         lists.setdefault(word, []).append((rank, prob))
                         entry_count += 1

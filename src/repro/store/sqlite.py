@@ -53,7 +53,7 @@ from repro.store.base import (
 )
 from repro.uncertain.parser import format_uncertain, parse_normalized
 from repro.uncertain.string import UncertainString
-from repro.uncertain.worlds import enumerate_worlds
+from repro.uncertain.worlds import window_worlds
 
 #: Bound variables per ``IN (...)`` batch — comfortably under every
 #: SQLite build's variable cap (999 on the oldest still-deployed ones).
@@ -171,8 +171,9 @@ def build_sqlite_store(
             string = parse_normalized(text)
             partition = [] if length == 0 else partition_for(length, q, k)
             for segment in partition:
-                piece = string.substring(segment.start, segment.length)
-                for word, prob in enumerate_worlds(piece, limit=None):
+                for word, prob in window_worlds(
+                    string, segment.start, segment.length
+                ):
                     if prob > 0.0:
                         postings.append(
                             (length, segment.index, word, rank, prob)

@@ -25,7 +25,7 @@ class UncertainString:
     the mixed literal style used by the paper's examples).
     """
 
-    __slots__ = ("_positions", "_hash", "_is_certain", "_agreement_table")
+    __slots__ = ("_positions", "_hash", "_heavy", "_agreement_table")
 
     def __init__(self, positions: Iterable[UncertainPosition]) -> None:
         self._positions = tuple(positions)
@@ -35,7 +35,7 @@ class UncertainString:
                     f"positions must be UncertainPosition, got {type(pos).__name__}"
                 )
         self._hash: int | None = None
-        self._is_certain: bool | None = None
+        self._heavy: tuple[str, tuple[int, ...]] | None = None
         self._agreement_table: tuple[
             str | tuple[tuple[str, ...], tuple[float, ...], dict[str, float]],
             ...,
@@ -110,14 +110,35 @@ class UncertainString:
     # uncertainty structure
     # ------------------------------------------------------------------
 
+    def heavy_form(self) -> tuple[str, tuple[int, ...]]:
+        """``(text, weighted)``: the string's one derived form (cached).
+
+        ``text`` is the heavy string, the most probable character of
+        every position; ``weighted`` holds the ascending indices of the
+        positions whose ``probs != (1.0,)``. Every other position is its
+        ``text`` character at probability exactly 1.0. Weighted is wider
+        than uncertain: a single alternative read back verbatim
+        (:meth:`UncertainPosition.from_normalized`) may carry
+        ``1 - 2**-53``, certain yet a factor of every world.
+        """
+        heavy = self._heavy
+        if heavy is None:
+            positions = self._positions
+            heavy = self._heavy = (
+                "".join([pos.top for pos in positions]),
+                tuple(
+                    index
+                    for index, pos in enumerate(positions)
+                    if pos.probs != (1.0,)
+                ),
+            )
+        return heavy
+
     @property
     def is_certain(self) -> bool:
-        """True when the string has exactly one possible world (cached)."""
-        cached = self._is_certain
-        if cached is None:
-            cached = all(pos.is_certain for pos in self._positions)
-            self._is_certain = cached
-        return cached
+        """True when the string has exactly one possible world."""
+        positions = self._positions
+        return all(len(positions[i]) == 1 for i in self.heavy_form()[1])
 
     def agreement_table(
         self,
@@ -136,19 +157,20 @@ class UncertainString:
         """
         table = self._agreement_table
         if table is None:
-            table = tuple(
-                pos.chars[0]
-                if len(pos.chars) == 1
-                else (pos.chars, pos.probs, pos.pdf)
-                for pos in self._positions
-            )
-            self._agreement_table = table
+            text, weighted = self.heavy_form()
+            entries: list = list(text)
+            for index in weighted:
+                pos = self._positions[index]
+                if len(pos.chars) > 1:
+                    entries[index] = (pos.chars, pos.probs, pos.pdf)
+            table = self._agreement_table = tuple(entries)
         return table
 
     @property
     def uncertain_indices(self) -> tuple[int, ...]:
         """0-based indices of positions with more than one alternative."""
-        return tuple(i for i, pos in enumerate(self._positions) if not pos.is_certain)
+        positions = self._positions
+        return tuple(i for i in self.heavy_form()[1] if len(positions[i]) > 1)
 
     @property
     def theta(self) -> float:
@@ -230,12 +252,11 @@ class UncertainString:
 
     def most_probable_instance(self) -> tuple[str, float]:
         """The modal world and its probability (greedy per position)."""
-        chars = []
+        text, weighted = self.heavy_form()
         prob = 1.0
-        for pos in self._positions:
-            chars.append(pos.top)
-            prob *= pos.probs[0]
-        return "".join(chars), prob
+        for index in weighted:  # the other factors are exactly 1.0
+            prob *= self._positions[index].probs[0]
+        return text, prob
 
     def sample(self, rng: random.Random) -> str:
         """Draw one possible world according to the product distribution."""
@@ -284,9 +305,10 @@ class UncertainString:
 
     def support_alphabet(self) -> set[str]:
         """Every character that occurs with positive probability somewhere."""
-        support: set[str] = set()
-        for pos in self._positions:
-            support.update(pos.chars)
+        text, weighted = self.heavy_form()
+        support = set(text)
+        for index in weighted:
+            support.update(self._positions[index].chars)
         return support
 
     # ------------------------------------------------------------------

@@ -10,6 +10,7 @@ of worlds is exponential in the number of uncertain positions — use
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from itertools import product
 from typing import Iterator
 
@@ -29,17 +30,12 @@ def enumerate_worlds(
 ) -> Iterator[tuple[str, float]]:
     """Yield ``(instance, probability)`` for every possible world.
 
-    Worlds are emitted in the deterministic order induced by each position's
-    most-probable-first alternative ordering, the last position varying
-    fastest. Probabilities sum to 1.
-
-    Each probability is the product of the positions' probabilities taken
-    left to right from ``1.0``. Positions whose only alternative has
-    probability exactly ``1.0`` are skipped: multiplying by ``1.0`` is
-    exact, so skipping them changes no word, no order and no float. The
-    skip keys on ``probs == (1.0,)`` rather than ``is_certain``: a single
-    alternative read back verbatim (:meth:`UncertainPosition.from_normalized`)
-    may carry ``1 - ulp``, and that factor must still be multiplied in.
+    The whole-string :func:`window_worlds`: worlds come in the
+    deterministic order induced by each position's most-probable-first
+    alternative ordering, the last position varying fastest, and their
+    probabilities sum to 1. Only the string's weighted positions
+    (``probs != (1.0,)``, :meth:`UncertainString.heavy_form`) vary and
+    enter the product; certain positions at exactly 1.0 are text.
 
     Raises ``ValueError`` when the world count exceeds ``limit`` (pass
     ``limit=None`` to disable the guard).
@@ -51,25 +47,43 @@ def enumerate_worlds(
                 f"refusing to enumerate {count} worlds (limit {limit}); "
                 "pass limit=None to override"
             )
-    return _worlds(string)
+    return window_worlds(string, 0, len(string))
 
 
-def _worlds(string: UncertainString) -> Iterator[tuple[str, float]]:
-    chars: list[str] = []
-    indices: list[int] = []
-    alternatives: list[Iterator[tuple[str, float]]] = []
-    for index, pos in enumerate(string):
-        chars.append(pos.top)
-        if pos.probs != (1.0,):
-            indices.append(index)
-            alternatives.append(pos.items())
-    if not indices:  # the common certain window: one world, no product
-        yield "".join(chars), 1.0
+def window_worlds(
+    string: UncertainString, start: int, length: int
+) -> Iterator[tuple[str, float]]:
+    """Yield ``(word, probability)`` for every world of the window
+    ``string[start : start + length]``, without building the window.
+
+    Reads the string's :meth:`~UncertainString.heavy_form`. A window with
+    no weighted position is one slice of the heavy text at weight 1.0;
+    otherwise only its weighted positions vary, and each probability is
+    their product taken left to right from ``1.0``. Leaving the other
+    positions out is exact (their one probability is exactly 1.0). A
+    single alternative read back verbatim at ``1 - 2**-53`` is certain
+    but weighted, so its factor is multiplied in. Raises ``ValueError``
+    on first use when the window leaves the string.
+    """
+    end = start + length
+    text, weighted = string.heavy_form()
+    if start < 0 or length < 0 or end > len(text):
+        raise ValueError(
+            f"window [{start}, {end}) out of range for length {len(text)}"
+        )
+    lo = bisect_left(weighted, start)
+    hi = bisect_left(weighted, end, lo)
+    if lo == hi:  # the common certain window: one world, no product
+        yield text[start:end], 1.0
         return
-    for choice in product(*alternatives):
+    indices = weighted[lo:hi]
+    positions = string.positions
+    chars = list(text[start:end])
+    offsets = [index - start for index in indices]
+    for choice in product(*(positions[index].items() for index in indices)):
         prob = 1.0
-        for index, (char, char_prob) in zip(indices, choice):
-            chars[index] = char
+        for offset, (char, char_prob) in zip(offsets, choice):
+            chars[offset] = char
             prob *= char_prob
         yield "".join(chars), prob
 

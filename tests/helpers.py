@@ -7,14 +7,17 @@ before the allocation-conscious rewrites. The optimized kernels in
 ``repro.filters`` / ``repro.distance`` must stay float-for-float
 identical to these copies — ``tests/test_kernel_equivalence.py`` holds
 them to it. The recursive world generator, the frequency-profile
-constructor and the equivalent-set-first index probe are frozen the
-same way (``tests/test_worlds.py``, ``tests/test_probe_parity.py``).
+constructor, the heap-based posting merges and the equivalent-set-first
+index probe are frozen the same way (``tests/test_worlds.py``,
+``tests/test_kernel_equivalence.py``, ``tests/test_merge.py``,
+``tests/test_probe_parity.py``).
 Do not "fix" or modernize the reference copies; their whole value is
 that they do not change.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from hypothesis import strategies as st
@@ -22,7 +25,6 @@ from hypothesis import strategies as st
 from repro.filters.alpha import _split_into_groups, group_probability
 from repro.filters.events import markov_tail_bound, tail_probability
 from repro.filters.frequency import FrequencyProfile, poisson_binomial_pmf
-from repro.index.merge import join_sorted_lists, merge_weighted_postings
 from repro.index.probe import IndexCandidate
 from repro.partition.selection import substring_starts
 from repro.uncertain.alphabet import Alphabet
@@ -369,6 +371,51 @@ def reference_profile_distributions(
     return out
 
 
+def reference_merge_weighted_postings(lists):
+    """The original k-way heap merge behind ``merge_weighted_postings``:
+    ties on an id pop in list order, each adding ``weight * prob``."""
+    heap: list[tuple[int, int, int]] = []
+    for which, (weight, postings) in enumerate(lists):
+        if postings:
+            heap.append((postings[0][0], which, 0))
+    heapq.heapify(heap)
+    merged: list[tuple[int, float]] = []
+    while heap:
+        current_id = heap[0][0]
+        alpha = 0.0
+        while heap and heap[0][0] == current_id:
+            _, which, offset = heapq.heappop(heap)
+            weight, postings = lists[which]
+            alpha += weight * postings[offset][1]
+            offset += 1
+            if offset < len(postings):
+                heapq.heappush(heap, (postings[offset][0], which, offset))
+        merged.append((current_id, alpha))
+    return merged
+
+
+def reference_join_sorted_lists(lists):
+    """The original k-way heap merge behind ``join_sorted_lists``."""
+    heap: list[tuple[int, int, int]] = []
+    for which, postings in enumerate(lists):
+        if postings:
+            heap.append((postings[0][0], which, 0))
+    heapq.heapify(heap)
+    joined: list[tuple[int, list[tuple[int, float]]]] = []
+    while heap:
+        current_id = heap[0][0]
+        entries: list[tuple[int, float]] = []
+        while heap and heap[0][0] == current_id:
+            _, which, offset = heapq.heappop(heap)
+            postings = lists[which]
+            entries.append((which, postings[offset][1]))
+            offset += 1
+            if offset < len(postings):
+                heapq.heappush(heap, (postings[offset][0], which, offset))
+        joined.append((current_id, entries))
+    return joined
+
+
 def reference_equivalent_substring_set(string, starts, length, mode="exact"):
     """The original equivalent-set builder over the recursive generator."""
     start_list = sorted(set(starts))
@@ -455,14 +502,14 @@ def reference_query_length_candidates(
                     if word in lists and lists[word]
                 ]
                 if weighted:
-                    merged = merge_weighted_postings(weighted)
+                    merged = reference_merge_weighted_postings(weighted)
         per_segment.append(merged)
         if merged:
             survivors_possible += 1
     if survivors_possible < required:
         return []
     candidates: list[IndexCandidate] = []
-    for string_id, entries in join_sorted_lists(per_segment):
+    for string_id, entries in reference_join_sorted_lists(per_segment):
         matched = sum(1 for _, alpha in entries if alpha > 0.0)
         if matched < required:
             continue

@@ -27,9 +27,10 @@ from repro.core.parallel import (
     parallel_similarity_join_two,
 )
 from repro.filters.frequency import FrequencyProfile
+from repro.uncertain.position import UncertainPosition
 from repro.uncertain.string import UncertainString
 
-from tests.helpers import random_collection, random_uncertain
+from tests.helpers import ONE_MINUS_ULP, random_collection, random_uncertain
 
 
 class TestStringFeatures:
@@ -38,7 +39,7 @@ class TestStringFeatures:
         features = StringFeatures(string)
         assert features.length == 4
         assert features.is_certain
-        assert features.certain_text == "ACGT"
+        assert string.heavy_form() == ("ACGT", ())
         assert features.support == frozenset("ACGT")
         assert features.sorted_support == ("A", "C", "G", "T")
 
@@ -47,10 +48,23 @@ class TestStringFeatures:
         string = random_uncertain(rng, 6, theta=1.0, gamma=2)
         features = StringFeatures(string)
         assert not features.is_certain
-        assert features.certain_text is None
-        assert len(features.position_chars) == 6
-        assert features.position_probs[0] == string[0].probs
+        assert features.length == 6
         assert features.support == string.support_alphabet()
+        assert not hasattr(features, "certain_text")
+        assert not hasattr(features, "position_chars")
+        assert not hasattr(features, "position_probs")
+
+    def test_weighted_single_alternative_is_certain(self):
+        # A single alternative kept verbatim below 1.0 is weighted (it
+        # is a factor of every world) but certain (one world).
+        near = UncertainPosition.from_normalized([("A", ONE_MINUS_ULP)])
+        string = UncertainString(
+            [UncertainPosition.certain("C"), near, UncertainPosition.certain("G")]
+        )
+        features = StringFeatures(string)
+        assert string.heavy_form() == ("CAG", (1,))
+        assert features.is_certain
+        assert features.support == frozenset("ACG")
 
     def test_profile_lazy_and_cached(self):
         string = UncertainString.from_text("AC")

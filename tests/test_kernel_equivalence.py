@@ -26,9 +26,12 @@ from repro.filters.frequency import (
     fd_lower_bound,
     merged_support,
 )
+from repro.uncertain.position import UncertainPosition
+from repro.uncertain.string import UncertainString
 from repro.verify.naive import naive_verify
 
 from tests.helpers import (
+    ONE_MINUS_ULP,
     random_uncertain,
     reference_cdf_bounds,
     reference_edit_distance_banded,
@@ -169,6 +172,24 @@ class TestFrequencyProfileEquivalence:
         expected = reference_profile_distributions(string)
         assert list(got.items()) == list(expected.items())
         assert profile.chars() == frozenset(expected)
+
+
+    def test_weighted_single_alternatives_count_as_certain(self):
+        # Single alternatives at 1 - 2**-53 are weighted in the heavy
+        # form but certain: they count, as in the reference.
+        near = UncertainPosition.from_normalized([("A", ONE_MINUS_ULP)])
+        string = UncertainString(
+            [near, UncertainPosition({"A": 0.6, "C": 0.4}), near,
+             UncertainPosition.certain("A"), UncertainPosition.certain("C")]
+        )
+        profile = FrequencyProfile(string)
+        got = {
+            char: (profile.distribution(char).certain,
+                   profile.distribution(char).pmf)
+            for char in profile.sorted_chars
+        }
+        assert got == reference_profile_distributions(string)
+        assert got["A"][0] == 3 and got["C"][0] == 1
 
 
 class TestFrequencyEquivalence:

@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 
 from repro.index.merge import join_sorted_lists, merge_weighted_postings
 
+from tests.helpers import (
+    reference_join_sorted_lists,
+    reference_merge_weighted_postings,
+)
+
 
 def dict_reference_merge(lists):
     out = {}
@@ -56,11 +61,12 @@ class TestMergeWeightedPostings:
     @given(POSTING_LISTS)
     @settings(max_examples=150)
     def test_matches_dict_reference(self, lists):
+        # Bitwise: the ids and every float equal both the list-order
+        # dict sum and the frozen heap merge (ties pop in list order).
         merged = merge_weighted_postings(lists)
         reference = dict_reference_merge(lists)
-        assert [i for i, _ in merged] == sorted(reference)
-        for string_id, alpha in merged:
-            assert alpha == pytest.approx(reference[string_id], abs=1e-9)
+        assert merged == sorted(reference.items())
+        assert merged == reference_merge_weighted_postings(lists)
 
     @given(POSTING_LISTS)
     @settings(max_examples=60)
@@ -70,7 +76,24 @@ class TestMergeWeightedPostings:
         assert ids == sorted(set(ids))
 
 
+SEGMENT_LISTS = st.lists(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=30),
+            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        ),
+        max_size=10,
+    ).map(lambda ps: sorted({i: p for i, p in ps}.items())),
+    max_size=6,
+)
+
+
 class TestJoinSortedLists:
+    @given(SEGMENT_LISTS)
+    @settings(max_examples=150)
+    def test_matches_frozen_heap_join(self, lists):
+        assert join_sorted_lists(lists) == reference_join_sorted_lists(lists)
+
     def test_tags_segment_indices(self):
         joined = join_sorted_lists(
             [
@@ -156,7 +179,7 @@ class TestMergeEdgeCases:
 
     def test_accumulation_order_is_operand_order(self):
         # Byte-identity across index backends hinges on this: for a tied
-        # id the heap pops operands in list order, so the alpha sum is
+        # id the merge adds operands in list order, so the alpha sum is
         # the exact left-to-right float sum — not merely approximately
         # equal. Weights are chosen so the sum rounds differently under
         # reassociation.

@@ -22,17 +22,29 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import JoinConfig
+from repro.core.join import similarity_join
 from repro.filters.alpha import segment_match_probability
 from repro.index.inverted import SegmentInvertedIndex
 from repro.index.probe import query_candidates
 from repro.partition.selection import SELECTION_MODES
-from repro.store import MemoryStore, SqliteStore, StoreIndexSource, build_sqlite_store
+from repro.store import (
+    MemoryStore,
+    SqliteStore,
+    StoreIndexSource,
+    build_sqlite_store,
+    store_similarity_join,
+)
 from repro.store.source import _RankLimitedView
 from repro.uncertain.alphabet import Alphabet
 from repro.uncertain.parser import parse_uncertain
+from repro.uncertain.string import UncertainString
 from repro.uncertain.worlds import enumerate_worlds
 
-from tests.helpers import random_collection, reference_query_candidates
+from tests.helpers import (
+    random_collection,
+    reference_query_candidates,
+    uncertain_strings,
+)
 
 VIEWS = ("index", "memory", "sqlite")
 
@@ -75,6 +87,15 @@ def views(kind, collection, k, q, limits, workdir):
     return store_views(SqliteStore(path), config, limits)
 
 
+#: Strings with single alternatives kept verbatim at ``1 - 2**-53``:
+#: certain but weighted, so they enter every window's probability. Two
+#: letters, as below.
+VERBATIM_STRINGS = uncertain_strings(
+    alphabet="AC", min_length=3, max_length=9, max_support=2,
+    max_uncertain=3, verbatim=True,
+)
+
+
 @pytest.mark.parametrize("kind", VIEWS)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -84,20 +105,27 @@ def views(kind, collection, k, q, limits, workdir):
     group_mode=st.sampled_from(("beta", "exact")),
     bound_mode=st.sampled_from(("paper", "markov")),
     tau=st.sampled_from((0.0, 0.05, 0.3)),
+    verbatim=st.one_of(
+        st.none(), st.lists(VERBATIM_STRINGS, min_size=15, max_size=15)
+    ),
 )
 @PROBE_SETTINGS
 def test_probe_matches_frozen_reference(
-    kind, seed, k, q, selection, group_mode, bound_mode, tau
+    kind, seed, k, q, selection, group_mode, bound_mode, tau, verbatim
 ):
     # A two-letter alphabet makes windows repeat words, so overlapping
     # occurrences form multi-start groups.
     rng = random.Random(seed)
-    collection = random_collection(
-        rng, 12, length_range=(3, 9), theta=0.4, alphabet=Alphabet("AC")
-    )
-    queries = collection[:4] + random_collection(
-        rng, 3, length_range=(3, 9), theta=0.4, alphabet=Alphabet("AC")
-    )
+    if verbatim is None:
+        collection = random_collection(
+            rng, 12, length_range=(3, 9), theta=0.4, alphabet=Alphabet("AC")
+        )
+        queries = collection[:4] + random_collection(
+            rng, 3, length_range=(3, 9), theta=0.4, alphabet=Alphabet("AC")
+        )
+    else:
+        collection = verbatim[:12]
+        queries = collection[:4] + verbatim[12:]
     limits = {1, len(collection) // 2}
     params = dict(
         k=k, selection=selection, group_mode=group_mode, bound_mode=bound_mode
@@ -183,3 +211,29 @@ def test_probe_never_asks_has_segment(kind, seed, tmp_path):
                     assert got == expected, (k, selection, limit, query)
                     probed += len(got)
     assert probed
+
+
+def test_no_window_builds_a_string(monkeypatch, tmp_path):
+    # Index adds, store builds and a whole QFCT join read windows from
+    # each string's heavy form; none of them slices out a window string.
+    rng = random.Random(7)
+    collection = random_collection(
+        rng, 30, length_range=(3, 9), theta=0.4, alphabet=Alphabet("AC")
+    )
+    config = JoinConfig.for_algorithm("QFCT", k=1, tau=0.05, q=2)
+    expected = similarity_join(collection, config).pairs
+    assert expected
+
+    def no_substring(self, start, length):
+        raise AssertionError("a window was built as an UncertainString")
+
+    monkeypatch.setattr(UncertainString, "substring", no_substring)
+    index = SegmentInvertedIndex(k=1, q=2)
+    for string_id, string in enumerate(collection):
+        index.add(string_id, string)
+    assert index.entry_count
+    assert len(MemoryStore(collection, k=1, q=2)) == len(collection)
+    path = tmp_path / "index.db"
+    build_sqlite_store(iter(collection), path, k=1, q=2)
+    assert similarity_join(collection, config).pairs == expected
+    assert store_similarity_join(SqliteStore(path), config).pairs == expected

@@ -12,6 +12,7 @@ from repro.uncertain.worlds import (
     enumerate_joint_worlds,
     enumerate_worlds,
     sample_world,
+    window_worlds,
     world_count,
 )
 
@@ -72,6 +73,26 @@ class TestEnumeratorParity:
         assert list(enumerate_worlds(string, limit=None)) == list(
             reference_enumerate_worlds(string)
         )
+
+    @given(
+        uncertain_strings(
+            alphabet="ACG", min_length=0, max_length=9, max_uncertain=4,
+            verbatim=True,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_window_matches_recursive_reference(self, string):
+        for start in range(len(string) + 1):
+            for length in range(len(string) - start + 1):
+                assert list(window_worlds(string, start, length)) == list(
+                    reference_enumerate_worlds(string.substring(start, length))
+                ), (start, length)
+
+    def test_window_out_of_range_raises(self):
+        string = UncertainString.from_text("ACG")
+        for start, length in ((-1, 1), (0, -1), (2, 2), (4, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                list(window_worlds(string, start, length))
 
     def test_empty_string_has_one_empty_world(self):
         empty = UncertainString([])
