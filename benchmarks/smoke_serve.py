@@ -13,6 +13,12 @@ search/top-k clients over real sockets, and asserts:
   ``corrupt-resp``, a typed 500 for ``crash``) — never a hang,
 * the health endpoints answer, and shutdown drains cleanly.
 
+The matrix runs twice: over an in-memory service, then over a
+store-backed one whose ``SqliteStore`` cache holds fewer strings than
+the collection, so concurrent clients share and evict one LRU while the
+faults fire. The store leg's offline answers must also be byte-identical
+to the in-memory leg's.
+
 Exits non-zero on any violation. Usage::
 
     PYTHONPATH=src python benchmarks/smoke_serve.py
@@ -23,6 +29,7 @@ from __future__ import annotations
 import http.client
 import json
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -38,6 +45,7 @@ from repro.datasets import dblp_like_collection  # noqa: E402
 from repro.serve.http import ServerRunner  # noqa: E402
 from repro.serve.protocol import encode_document  # noqa: E402
 from repro.serve.service import JoinService, ServeOptions  # noqa: E402
+from repro.store import SqliteStore, build_sqlite_store  # noqa: E402
 from repro.uncertain.parser import format_uncertain, parse_uncertain  # noqa: E402
 
 CLIENTS = 3
@@ -53,6 +61,8 @@ FAULTS = "slow@2/0.4,drop@5,corrupt-resp@8,crash@11"
 # How long the final /stats check waits for the last admission slot to
 # be released before it fails.
 STATS_SETTLE_S = 5.0
+# The store leg's hydration cache: fewer strings than the collection.
+STORE_CACHE = 8
 
 
 def check(label: str, condition: bool) -> None:
@@ -70,31 +80,15 @@ def _is_json(body: bytes) -> bool:
     return True
 
 
-def main() -> int:
-    collection = dblp_like_collection(
-        48, theta=0.2, rng=7, max_uncertain_positions=4
-    )
-    config = JoinConfig.for_algorithm("QFCT", k=2, tau=0.1, q=3)
-    options = ServeOptions(
-        max_in_flight=4,
-        queue_limit=16,
-        queue_timeout=5.0,
-        request_timeout=15.0,
-        degrade_margin=0.0,  # exact path only: byte identity must hold
-        fault_spec=FAULTS,
-    )
-    service = JoinService(collection, config, options)
-    # precision=12: the parser's probability-sum tolerance is 1e-6, so
-    # the default 6-significant-digit rendering can fail to re-parse.
-    queries = [format_uncertain(s, precision=12) for s in collection[:8]]
-    print(f"smoke: {len(collection)} strings, {CLIENTS} clients, "
-          f"{REQUESTS} requests, faults={FAULTS}")
-
-    # Offline baselines, computed before any HTTP traffic. The direct
-    # service call is the byte-level oracle; its search matches are
-    # independently cross-checked against a fresh searcher over the
-    # same parsed queries.
-    searcher = SimilaritySearcher(collection, config)
+def offline_answers(
+    service: JoinService,
+    searcher: SimilaritySearcher,
+    queries: list[str],
+) -> "dict[tuple[str, str], bytes] | None":
+    """Each query's search and top-k documents from a direct service
+    call, computed before any HTTP traffic: the byte-level oracle. The
+    search matches are cross-checked against ``searcher``; ``None`` on
+    a disagreement."""
     expected: dict[tuple[str, str], bytes] = {}
     for text in queries:
         search_doc = service.search(text)
@@ -107,13 +101,21 @@ def main() -> int:
         )
         if served != offline:
             print(f"FAIL: service/searcher disagree for {text!r}")
-            return 1
+            return None
         expected[("/search", text)] = encode_document(search_doc)
         expected[("/topk", text)] = encode_document(
             service.topk(text, TOPK_COUNT)
         )
-    check(f"offline parity ({len(queries)} queries)", True)
+    return expected
 
+
+def run_matrix(
+    service: JoinService,
+    queries: list[str],
+    expected: dict[tuple[str, str], bytes],
+) -> int:
+    """Serve ``service`` over real sockets under the fault matrix and
+    check every outcome against ``expected``."""
     runner = ServerRunner(service).start()
     host, port = runner.address
     outcomes: dict[int, tuple[str, "int | None", bytes]] = {}
@@ -219,7 +221,55 @@ def main() -> int:
 
     drained = runner.shutdown()
     check("shutdown drained", drained)
-    print(f"serve smoke ok in {time.perf_counter() - started:.2f}s")
+    print(f"  matrix done in {time.perf_counter() - started:.2f}s")
+    return 0
+
+
+def main() -> int:
+    collection = dblp_like_collection(
+        48, theta=0.2, rng=7, max_uncertain_positions=4
+    )
+    config = JoinConfig.for_algorithm("QFCT", k=2, tau=0.1, q=3)
+    options = ServeOptions(
+        max_in_flight=4,
+        queue_limit=16,
+        queue_timeout=5.0,
+        request_timeout=15.0,
+        degrade_margin=0.0,  # exact path only: byte identity must hold
+        fault_spec=FAULTS,
+    )
+    # precision=12: the parser's probability-sum tolerance is 1e-6, so
+    # the default 6-significant-digit rendering can fail to re-parse.
+    queries = [format_uncertain(s, precision=12) for s in collection[:8]]
+    searcher = SimilaritySearcher(collection, config)
+
+    print(f"smoke: {len(collection)} strings in memory, {CLIENTS} clients, "
+          f"{REQUESTS} requests, faults={FAULTS}")
+    service = JoinService(collection, config, options)
+    expected = offline_answers(service, searcher, queries)
+    if expected is None:
+        return 1
+    check(f"offline parity ({len(queries)} queries)", True)
+    if run_matrix(service, queries, expected):
+        return 1
+
+    print(f"smoke: the same over a store, cache {STORE_CACHE} strings")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "smoke.store"
+        build_sqlite_store(iter(collection), path, k=config.k, q=config.q)
+        store = SqliteStore(path, cache_size=STORE_CACHE)
+        stored = JoinService(None, config, options, store=store)
+        stored_expected = offline_answers(stored, searcher, queries)
+        if stored_expected is None:
+            return 1
+        check("store answers byte-identical to memory",
+              stored_expected == expected)
+        if run_matrix(stored, queries, stored_expected):
+            return 1
+        cached = len(stored._state.searcher.engine._strings._entries)
+        check("store cache stayed within its capacity",
+              cached <= STORE_CACHE)
+    print("serve smoke ok")
     return 0
 
 

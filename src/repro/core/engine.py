@@ -26,7 +26,7 @@ have enough.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.core.config import JoinConfig
 from repro.core.context import CollectionContext
@@ -193,6 +193,15 @@ class LengthBandSource:
         return [(self._rank_to_id[rank], None) for rank in ranks]
 
 
+def visit_order(
+    collection: Sequence[UncertainString],
+) -> list[tuple[int, UncertainString]]:
+    """The join's visits over an in-memory collection: ``(id, string)``
+    in ascending (length, id) order (a stable sort keeps ids ascending
+    within a length)."""
+    return sorted(enumerate(collection), key=lambda visit: len(visit[1]))
+
+
 def make_source(config: JoinConfig, store: Any = None) -> CandidateSource:
     """The candidate source ``config``'s filter stack calls for.
 
@@ -243,16 +252,13 @@ class JoinEngine:
         reusing the parent process's finished features.
     store:
         An :class:`~repro.store.base.IndexStore`: candidate generation
-        reads the store's prebuilt postings, and candidate strings are
-        hydrated on demand through a bounded LRU instead of being held
-        in a dict — peak RSS tracks the cache, not the collection.
-        Adds must replay the store's (length, id) visit order.
-    store_cache:
-        The hydration cache to use with ``store`` (a
-        :class:`~repro.store.source.StoreStringCache`); by default one
-        is created at the store's configured capacity. Drivers pass a
-        shared cache so the engine and their collection facade hit one
-        LRU.
+        reads the store's prebuilt postings, candidate strings hydrate
+        on demand through a bounded
+        :class:`~repro.store.source.StoreStringCache`, and features
+        live in a bounded :class:`~repro.store.source.StoreContext`
+        (unless ``context`` is given), both at the store's configured
+        capacity — peak RSS tracks the cache, not the collection. Adds
+        must replay the store's (length, id) visit order.
     """
 
     def __init__(
@@ -263,35 +269,25 @@ class JoinEngine:
         force_exact: bool = False,
         context: CollectionContext | None = None,
         store: Any = None,
-        store_cache: Any = None,
     ) -> None:
         self.config = config
         self.stats = stats if stats is not None else JoinStatistics()
         self.tau: TauProvider = tau if tau is not None else (lambda: config.tau)
         self.source = make_source(config, store=store)
-        self.chain = StageChain(config, force_exact=force_exact, context=context)
         self._strings: StringLookup
         if store is not None:
-            from repro.store.source import StoreStringCache
+            from repro.store.source import StoreContext, StoreStringCache
 
-            self._strings = (
-                store_cache
-                if store_cache is not None
-                else StoreStringCache(store)
-            )
+            cache = StoreStringCache(store)
+            self._strings = cache
+            if context is None:
+                context = StoreContext(cache.capacity)
         else:
-            if store_cache is not None:
-                raise ConfigurationError(
-                    "store_cache is only meaningful together with store"
-                )
             self._strings = {}
+        self.chain = StageChain(config, force_exact=force_exact, context=context)
 
     def __len__(self) -> int:
         return len(self._strings)
-
-    def string(self, string_id: int) -> UncertainString:
-        """A previously added string."""
-        return self._strings[string_id]
 
     def add(self, string_id: int, string: UncertainString) -> None:
         """Register ``string`` under ``string_id`` (ids must be unique;
@@ -332,16 +328,11 @@ class JoinEngine:
             threshold = float(tau)
             provider = lambda: threshold  # noqa: E731
         context = self.chain.context(query_id, query)
-        for candidate_id, upper in self.candidates(
+        for candidate_id, upper, candidate in self.candidates(
             query, provider(), run_stats, self.config.k
         ):
             similar, probability = self.chain.refine(
-                context,
-                candidate_id,
-                self._strings[candidate_id],
-                provider,
-                run_stats,
-                upper,
+                context, candidate_id, candidate, provider, run_stats, upper
             )
             yield candidate_id, similar, probability
 
@@ -351,16 +342,28 @@ class JoinEngine:
         tau: float,
         stats: JoinStatistics,
         k: int,
-    ) -> list[SourceCandidate]:
-        """The source's candidates at edit threshold ``k``, ready to
-        refine: :meth:`probe`'s first step, shared with the serve loop."""
+    ) -> Iterator[tuple[int, "float | None", UncertainString]]:
+        """The source's candidates at edit threshold ``k`` with their
+        strings, ready to refine: :meth:`probe`'s first step, shared
+        with the serve loop. Yields ``(id, upper bound, string)``.
+
+        A store-backed cache hydrates the candidates one
+        capacity-sized slice at a time, in one batched read as the
+        consumer reaches each slice, so a consumer that stops early
+        (an expired deadline) reads no further slice.
+        """
         candidates = self.source.probe(query, tau, stats, k)
-        # Store-backed string caches hydrate the candidate block (up to
-        # their capacity) in one batched read, not one miss per string.
-        prefetch = getattr(self._strings, "prefetch", None)
-        if prefetch is not None and len(candidates) >= 2:
-            prefetch([candidate_id for candidate_id, _ in candidates])
-        return candidates
+        strings = self._strings
+        prefetch = getattr(strings, "prefetch", None)
+        # A dict holds every string (one slice); a cache reads at most
+        # its capacity per slice.
+        step = getattr(strings, "capacity", None) or max(1, len(candidates))
+        for start in range(0, len(candidates), step):
+            block = candidates[start : start + step]
+            if prefetch is not None:
+                prefetch([candidate_id for candidate_id, _ in block])
+            for candidate_id, upper in block:
+                yield candidate_id, upper, strings[candidate_id]
 
     def matches(
         self,
@@ -382,21 +385,19 @@ class JoinEngine:
 
     def join(
         self,
-        collection: Sequence[UncertainString],
+        visits: Iterable[tuple[int, UncertainString]],
         index_length_cap: int | None = None,
-        order: "Sequence[int] | None" = None,
     ) -> Iterator[JoinPair]:
-        """Stream the self-join of ``collection`` pair by pair.
+        """Stream the self-join of ``visits`` pair by pair.
 
-        Visits strings in ascending (length, id) order — each string is
-        probed against the already-added prefix, then added, so no pair
-        is enumerated twice. Pairs are yielded as discovered (grouped by
-        their later-visited string), not globally sorted.
-
-        ``order`` supplies that visit order precomputed (it must be the
-        ascending (length, id) permutation of ``collection``'s ids) —
-        the store-backed driver passes the store's recorded order so the
-        sort never hydrates the collection.
+        ``visits`` are the collection's ``(id, string)`` pairs in
+        ascending (length, id) order — :func:`visit_order` for an
+        in-memory collection,
+        :meth:`~repro.store.source.StoreCollection.visits` for a store.
+        Each string is probed against the already-added prefix, then
+        added, so no pair is enumerated twice. Pairs are yielded as
+        discovered (grouped by their later-visited string), not
+        globally sorted.
 
         ``index_length_cap`` makes strings longer than the cap
         *probe-only*: they query the index but are never added to it, so
@@ -408,12 +409,7 @@ class JoinEngine:
         under-cap candidate is already indexed when an over-cap string
         probes.
         """
-        if order is None:
-            order = sorted(
-                range(len(collection)), key=lambda i: (len(collection[i]), i)
-            )
-        for string_id in order:
-            current = collection[string_id]
+        for string_id, current in visits:
             for other_id, similar, probability in self.probe(string_id, current):
                 if similar:
                     left, right = (
@@ -444,7 +440,7 @@ def iter_join_pairs(
             f"config.workers must be 1, got {config.workers}"
         )
     engine = JoinEngine(config, stats=stats)
-    return engine.join(collection)
+    return engine.join(visit_order(collection))
 
 
 def iter_matches(
@@ -459,7 +455,6 @@ def iter_matches(
     :class:`~repro.core.search.SimilaritySearcher` instead.
     """
     engine = JoinEngine(config, stats=stats)
-    order = sorted(range(len(collection)), key=lambda i: (len(collection[i]), i))
-    for string_id in order:
-        engine.add(string_id, collection[string_id])
+    for string_id, string in visit_order(collection):
+        engine.add(string_id, string)
     return engine.matches(query)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from repro.core.config import JoinConfig
 from repro.core.context import CollectionContext
-from repro.core.engine import JoinEngine
+from repro.core.engine import JoinEngine, visit_order
 from repro.core.results import JoinOutcome, JoinPair
 from repro.core.stats import JoinStatistics
 from repro.uncertain.string import UncertainString
@@ -58,7 +58,11 @@ def similarity_join(
     engine = JoinEngine(config, stats=stats, context=context)
     pairs: list[JoinPair] = []
     with stats.timer("total"):
-        pairs.extend(engine.join(collection, index_length_cap=index_length_cap))
+        pairs.extend(
+            engine.join(
+                visit_order(collection), index_length_cap=index_length_cap
+            )
+        )
     stats.result_pairs = len(pairs)
     pairs.sort()
     return JoinOutcome(pairs=pairs, stats=stats)

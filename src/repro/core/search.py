@@ -14,7 +14,7 @@ from typing import Any, Iterator, Sequence
 
 from repro.core.config import JoinConfig
 from repro.core.context import CollectionContext
-from repro.core.engine import JoinEngine
+from repro.core.engine import JoinEngine, visit_order
 from repro.core.results import SearchMatch, SearchOutcome
 from repro.core.stats import JoinStatistics
 from repro.uncertain.string import UncertainString
@@ -45,52 +45,29 @@ class SimilaritySearcher:
         # state. ``context`` lets a parallel band reuse features the
         # parent already computed; by default features fill in lazily
         # as queries touch the collection.
-        self._context = context if context is not None else CollectionContext()
-        self._engine = JoinEngine(config, context=self._context)
-        order = sorted(
-            range(len(self.collection)), key=lambda i: (len(self.collection[i]), i)
-        )
-        for string_id in order:
-            self._engine.add(string_id, self.collection[string_id])
+        self._engine = JoinEngine(config, context=context)
+        for string_id, string in visit_order(self.collection):
+            self._engine.add(string_id, string)
 
     @classmethod
-    def from_store(
-        cls,
-        store: Any,
-        config: JoinConfig,
-        context: CollectionContext | None = None,
-    ) -> "SimilaritySearcher":
+    def from_store(cls, store: Any, config: JoinConfig) -> "SimilaritySearcher":
         """A searcher over a prebuilt :class:`~repro.store.base.IndexStore`.
 
         Nothing collection-sized is materialized: the collection is the
-        store's lazy facade, candidate strings hydrate through a bounded
-        LRU shared with the engine, features live in a bounded context,
-        and registration replays the store's recorded (length, id) visit
-        order from bookkeeping alone — no string is parsed until a query
-        touches it. Results are byte-identical to a searcher built over
-        the loaded collection with the same config.
+        store's lazy facade, candidates hydrate through the engine's
+        bounded LRU, features live in its bounded context, and
+        registration replays the store's recorded (length, id) visit
+        order from bookkeeping alone — no string is parsed until a
+        query touches it, and a query parses just its candidates.
+        Results are byte-identical to a searcher built over the loaded
+        collection with the same config.
         """
-        from repro.store.base import DEFAULT_CACHE_SIZE
-        from repro.store.source import (
-            StoreCollection,
-            StoreContext,
-            StoreStringCache,
-        )
+        from repro.store.source import StoreCollection
 
         searcher = cls.__new__(cls)
-        cache_size = getattr(store, "cache_size", DEFAULT_CACHE_SIZE)
-        cache = StoreStringCache(store, cache_size)
-        searcher.collection = StoreCollection(store, cache=cache)
         searcher.config = config
-        searcher._context = (
-            context if context is not None else StoreContext(cache_size)
-        )
-        searcher._engine = JoinEngine(
-            config,
-            context=searcher._context,
-            store=store,
-            store_cache=cache,
-        )
+        searcher._engine = JoinEngine(config, store=store)
+        searcher.collection = StoreCollection(store)
         register = getattr(searcher._engine.source, "register")
         for string_id, length in zip(
             store.ids_in_visit_order(), store.lengths_in_visit_order()
@@ -101,7 +78,7 @@ class SimilaritySearcher:
     @property
     def context(self) -> CollectionContext:
         """The collection's feature context, shared by every query."""
-        return self._context
+        return self._engine.chain.profiles.context
 
     @property
     def engine(self) -> JoinEngine:

@@ -14,10 +14,10 @@ growing bound; no stage logic is duplicated here.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.config import JoinConfig
-from repro.core.engine import JoinEngine
+from repro.core.engine import JoinEngine, visit_order
 from repro.core.results import JoinOutcome, JoinPair
 from repro.core.stats import JoinStatistics
 from repro.uncertain.string import UncertainString
@@ -62,11 +62,16 @@ def top_k_join(
             f"the join is inherently sequential (got workers={base.workers})"
         )
 
+    visits: Iterable[tuple[int, UncertainString]]
     if store is not None:
+        from repro.store.source import StoreCollection
+
         total = len(store)
+        visits = StoreCollection(store).visits()
     else:
         assert collection is not None
         total = len(collection)
+        visits = visit_order(collection)
     stats = JoinStatistics(total_strings=total)
     # Min-heap of (probability, left, right); heap[0] is the adaptive cut.
     best: list[tuple[float, int, int]] = []
@@ -74,37 +79,11 @@ def top_k_join(
     def current_tau() -> float:
         return best[0][0] if len(best) == count else 0.0
 
-    if store is not None:
-        from repro.store.base import DEFAULT_CACHE_SIZE
-        from repro.store.source import (
-            StoreCollection,
-            StoreContext,
-            StoreStringCache,
-        )
-
-        cache_size = getattr(store, "cache_size", DEFAULT_CACHE_SIZE)
-        cache = StoreStringCache(store, cache_size)
-        engine = JoinEngine(
-            base,
-            stats=stats,
-            tau=current_tau,
-            force_exact=True,
-            context=StoreContext(cache_size),
-            store=store,
-            store_cache=cache,
-        )
-        pair_iter = engine.join(
-            StoreCollection(store, cache=cache),
-            order=store.ids_in_visit_order(),
-        )
-    else:
-        assert collection is not None
-        engine = JoinEngine(
-            base, stats=stats, tau=current_tau, force_exact=True
-        )
-        pair_iter = engine.join(collection)
+    engine = JoinEngine(
+        base, stats=stats, tau=current_tau, force_exact=True, store=store
+    )
     with stats.timer("total"):
-        for pair in pair_iter:
+        for pair in engine.join(visits):
             assert pair.probability is not None  # force_exact guarantees it
             heapq.heappush(best, (pair.probability, pair.left_id, pair.right_id))
             if len(best) > count:

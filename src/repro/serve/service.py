@@ -47,7 +47,7 @@ from typing import Any, Callable, Sequence
 from repro.core.config import JoinConfig
 from repro.core.context import CollectionContext
 from repro.core.deadline import Deadline, deadline_scope
-from repro.core.engine import JoinEngine
+from repro.core.engine import JoinEngine, visit_order
 from repro.core.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -438,7 +438,7 @@ class JoinService:
         try:
             with deadline_scope(deadline):
                 for pair in JoinEngine(request_config, stats=self.stats).join(
-                    strings
+                    visit_order(strings)
                 ):
                     deadline.check()
                     pairs.append(
@@ -613,7 +613,7 @@ class JoinService:
             chain = state.exact_chain if exact else engine.chain
         context = chain.context(QUERY_ID, query)
         degraded = False
-        for candidate_id, upper in engine.candidates(
+        for candidate_id, upper, candidate in engine.candidates(
             query, tau(), stats, request_config.k
         ):
             deadline.check()
@@ -621,7 +621,6 @@ class JoinService:
                 if deadline.under_pressure(self.options.degrade_margin):
                     degraded = True
                     stats.record("serve", "degraded")
-            candidate = engine.string(candidate_id)
             if degraded:
                 decision = self._sampled(
                     query, query_text, candidate, candidate_id,

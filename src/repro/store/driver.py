@@ -3,8 +3,8 @@
 The store-backed counterparts of :func:`repro.core.join.similarity_join`.
 Same pairs, same probabilities — the differences are purely about what
 is resident: the serial path walks the store's recorded (length, id)
-visit order, hydrates strings through one bounded LRU shared by the
-engine and the collection facade, and probes prebuilt postings instead
+visit order, reading its strings in rank blocks, hydrates candidates
+through the engine's bounded LRU, and probes prebuilt postings instead
 of building an index, so peak RSS tracks the cache capacity, not the
 collection. Banded and checkpointed runs go through
 :func:`repro.core.parallel.parallel_similarity_join` with ``store=``.
@@ -19,8 +19,8 @@ from repro.core.engine import JoinEngine
 from repro.core.parallel import parallel_similarity_join
 from repro.core.results import JoinOutcome, JoinPair
 from repro.core.stats import JoinStatistics
-from repro.store.base import DEFAULT_CACHE_SIZE, IndexStore
-from repro.store.source import StoreCollection, StoreContext, StoreStringCache
+from repro.store.base import IndexStore
+from repro.store.source import StoreCollection
 
 
 def iter_store_join_pairs(
@@ -32,20 +32,11 @@ def iter_store_join_pairs(
 
     The store-backed twin of :func:`repro.core.engine.iter_join_pairs`:
     one serial engine walking the store's recorded visit order, strings
-    hydrated through a bounded LRU — the pair stream is identical to
-    the in-memory stream over the same collection.
+    read in rank blocks — the pair stream is identical to the in-memory
+    stream over the same collection.
     """
-    cache_size = getattr(store, "cache_size", DEFAULT_CACHE_SIZE)
-    cache = StoreStringCache(store, cache_size)
-    engine = JoinEngine(
-        config,
-        stats=stats,
-        context=StoreContext(cache_size),
-        store=store,
-        store_cache=cache,
-    )
-    collection = StoreCollection(store, cache=cache)
-    return engine.join(collection, order=store.ids_in_visit_order())
+    engine = JoinEngine(config, stats=stats, store=store)
+    return engine.join(StoreCollection(store).visits())
 
 
 def _serial_store_join(store: IndexStore, config: JoinConfig) -> JoinOutcome:

@@ -14,6 +14,7 @@ import hashlib
 from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
+from repro.core.engine import visit_order
 from repro.partition.even import partition_for
 from repro.store.base import STORE_PRECISION, StoreMeta
 from repro.uncertain.parser import format_uncertain
@@ -32,11 +33,6 @@ def collection_digest(collection: Iterable[UncertainString]) -> str:
     return digest.hexdigest()
 
 
-def visit_order(lengths: Sequence[int]) -> list[int]:
-    """Ids (= positions) sorted by the canonical ``(length, id)`` order."""
-    return sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
-
-
 class MemoryStore:
     """A built (k, q) index plus its collection, frozen in memory."""
 
@@ -51,17 +47,16 @@ class MemoryStore:
         if q <= 0:
             raise ValueError(f"q must be positive, got {q}")
         self._collection = list(collection)
-        lengths = [len(string) for string in self._collection]
-        self._ids_visit = visit_order(lengths)
-        self._lengths_visit = [lengths[i] for i in self._ids_visit]
+        visits = visit_order(self._collection)
+        self._ids_visit = [string_id for string_id, _ in visits]
+        self._lengths_visit = [len(string) for _, string in visits]
         # (length, segment index) -> word -> [(rank, prob)] ascending.
         self._lists: dict[
             tuple[int, int], dict[str, list[tuple[int, float]]]
         ] = {}
         entry_count = 0
-        for rank, string_id in enumerate(self._ids_visit):
-            string = self._collection[string_id]
-            length = lengths[string_id]
+        for rank, (_, string) in enumerate(visits):
+            length = len(string)
             partition = (
                 [] if length == 0 else partition_for(length, q, k)
             )

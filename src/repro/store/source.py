@@ -11,17 +11,23 @@ proportional to cache capacity, never to the collection:
   results are byte-identical to an incrementally built
   :class:`~repro.core.engine.SegmentIndexSource`. The partition is the
   store's; the probe k is whatever the caller asks.
-* :class:`StoreStringCache` — a bounded LRU of hydrated strings with
-  rank-block readahead (the join's visit order is rank order, so
-  sequential hydration touches each block once) and a batched
-  ``prefetch`` the engine calls before refining a candidate block.
+* :class:`StoreStringCache` — a bounded LRU of hydrated strings that
+  reads only what its caller asks for: a miss reads the one missing
+  id, and ``prefetch`` reads the block the engine is about to refine
+  (up to capacity) in one batched query.
 * :class:`StoreContext` — a bounded-LRU
   :class:`~repro.core.context.CollectionContext`: features rebuild
   deterministically after eviction, so eviction can only cost time.
 * :class:`StoreCollection` — a sequence facade over the store (ids are
   0..N-1 loader positions) that pickles as just the store path, so
   parallel workers under any start method reopen one shared file
-  instead of receiving string data.
+  instead of receiving string data. Its ``visits`` feed the join's
+  one sequential pass, read in rank blocks; its ``take`` hydrates a
+  band task's members in one batched read.
+
+The caller decides each read: the sequential visit loop reads rank
+blocks, candidate lookups read just the candidates, and nothing is
+read ahead on a guess.
 """
 
 from __future__ import annotations
@@ -39,9 +45,7 @@ from repro.partition.even import Segment, partition_for
 from repro.store.base import DEFAULT_CACHE_SIZE, IndexStore
 from repro.uncertain.string import UncertainString
 
-#: Strings hydrated per read on a cache miss. Block-aligned in rank
-#: space: the join visit order *is* rank order, so sequential hydration
-#: reads each block exactly once.
+#: Strings per sequential read of :meth:`StoreCollection.visits`.
 READ_BLOCK = 256
 
 
@@ -49,32 +53,25 @@ class StoreStringCache:
     """Bounded LRU of hydrated strings, keyed by original id.
 
     Satisfies the mapping surface :class:`~repro.core.engine.JoinEngine`
-    uses for its ``_strings`` dict (``[]`` get/set, ``len``), plus two
-    store-aware extensions: ``prefetch`` (one batched hydration for a
-    probe's candidate block — the engine calls it when present) and
-    ``take`` (bulk hydration bypassing the cache, for band tasks that
-    materialize their band anyway).
+    uses for its ``_strings`` dict (``[]`` get/set, ``len``), plus
+    ``prefetch``: one batched read of the block of ids the caller is
+    about to look up. The cache reads nothing on its own initiative —
+    a miss reads just the missing id, so what is parsed is what the
+    caller asked for.
 
     The cache never holds more than ``capacity`` strings, whatever the
-    candidate block, so one wide probe cannot load the store into
-    memory. A lock guards the LRU (a serving generation shares one
-    cache among its request threads); store reads run outside it.
+    block, so one wide probe cannot load the store into memory. A lock
+    guards the LRU (a serving generation shares one cache among its
+    request threads); store reads run outside it.
     """
 
-    def __init__(
-        self,
-        store: IndexStore,
-        capacity: "int | None" = None,
-        read_block: int = READ_BLOCK,
-    ) -> None:
+    def __init__(self, store: IndexStore, capacity: "int | None" = None) -> None:
         self._store = store
         if capacity is None:  # the store's configured size
             capacity = getattr(store, "cache_size", DEFAULT_CACHE_SIZE)
-        self._capacity = max(1, capacity)
-        self._block = max(1, min(read_block, self._capacity))
+        self.capacity = max(1, capacity)
         self._entries: "OrderedDict[int, UncertainString]" = OrderedDict()
         self._lock = threading.Lock()
-        self._rank_of: "dict[int, int] | None" = None
         self._added = 0
         #: Number of store read operations (misses + prefetch batches);
         #: the cache-effectiveness measure the tests pin.
@@ -83,18 +80,8 @@ class StoreStringCache:
     def __len__(self) -> int:
         return self._added
 
-    def _rank_index(self) -> dict[int, int]:
-        if self._rank_of is None:
-            self._rank_of = {
-                string_id: rank
-                for rank, string_id in enumerate(
-                    self._store.ids_in_visit_order()
-                )
-            }
-        return self._rank_of
-
     def _trim(self) -> None:
-        while len(self._entries) > self._capacity:
+        while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
     def __setitem__(self, string_id: int, string: UncertainString) -> None:
@@ -110,30 +97,27 @@ class StoreStringCache:
             if string is not None:
                 self._entries.move_to_end(string_id)
                 return string
-        rank = self._rank_index()[string_id]
-        start = rank - (rank % self._block)
-        block = self._store.strings_at_ranks(start, start + self._block)
-        ids = self._store.ids_in_visit_order()
+        fetched = self._store.strings_by_ids([string_id])[string_id]
         with self._lock:
             self.fetches += 1
-            for offset, fetched in enumerate(block):
-                self._entries.setdefault(ids[start + offset], fetched)
-            string = self._entries[string_id]
+            # A racing thread may have read the same id meanwhile: keep
+            # the first, so every caller shares one object.
+            string = self._entries.setdefault(string_id, fetched)
             self._entries.move_to_end(string_id)
             self._trim()
         return string
 
     def prefetch(self, ids: Sequence[int]) -> None:
-        """Hydrate a probe's candidate block in one batched store read.
+        """Hydrate the caller's next block of ids in one batched read.
 
-        Only the first ``capacity`` ids are read: the refine loop visits
-        the block in order, so the rest hydrate through ordinary misses
-        as it reaches them. The block's cached ids move to the recent
-        end first, so trimming back to capacity evicts none of it.
+        Only the first ``capacity`` ids are read; the rest hydrate
+        through ordinary misses. The block's cached ids move to the
+        recent end first, so trimming back to capacity evicts none of
+        it.
         """
         missing = []
         with self._lock:
-            for string_id in ids[: self._capacity]:
+            for string_id in ids[: self.capacity]:
                 if string_id in self._entries:
                     self._entries.move_to_end(string_id)
                 else:
@@ -146,26 +130,20 @@ class StoreStringCache:
             self._entries.update(fetched)
             self._trim()
 
-    def take(self, ids: Sequence[int]) -> list[UncertainString]:
-        """Bulk-hydrate ``ids`` (in order) without touching the cache."""
-        fetched = self._store.strings_by_ids(ids)
-        return [fetched[string_id] for string_id in ids]
-
 
 class StoreCollection(Sequence[UncertainString]):
     """The store's collection as a sequence of strings, ids = positions.
 
-    Reads go through a :class:`StoreStringCache` (shareable with an
-    engine so both sides hit one LRU). Pickles as just the store —
-    i.e. a path — so publishing it to parallel workers ships no
-    string data under any start method.
+    Point reads go through the facade's own bounded
+    :class:`StoreStringCache`; :meth:`visits` and :meth:`take` read the
+    store directly. Pickles as just the store — i.e. a path — so
+    publishing it to parallel workers ships no string data under any
+    start method.
     """
 
-    def __init__(
-        self, store: IndexStore, cache: "StoreStringCache | None" = None
-    ) -> None:
+    def __init__(self, store: IndexStore) -> None:
         self._store = store
-        self._cache = cache if cache is not None else StoreStringCache(store)
+        self._cache = StoreStringCache(store)
 
     @property
     def store(self) -> IndexStore:
@@ -181,9 +159,22 @@ class StoreCollection(Sequence[UncertainString]):
         for string_id in range(len(self)):
             yield self._cache[string_id]
 
+    def visits(self) -> Iterator[tuple[int, UncertainString]]:
+        """The join's visits, ``(id, string)`` in the store's (length,
+        id) rank order, read sequentially ``READ_BLOCK`` ranks at a
+        time."""
+        ids = self._store.ids_in_visit_order()
+        for start in range(0, len(ids), READ_BLOCK):
+            stop = start + READ_BLOCK
+            yield from zip(
+                ids[start:stop], self._store.strings_at_ranks(start, stop)
+            )
+
     def take(self, ids: Sequence[int]) -> list[UncertainString]:
-        """Bulk-hydrate ``ids`` bypassing the cache (band tasks)."""
-        return self._cache.take(ids)
+        """Bulk-hydrate ``ids`` (in order) in one batched read, bypassing
+        the cache (band tasks materialize their band anyway)."""
+        fetched = self._store.strings_by_ids(ids)
+        return [fetched[string_id] for string_id in ids]
 
     def __reduce__(self) -> tuple:
         return (StoreCollection, (self._store,))

@@ -118,10 +118,16 @@ def _parse_pdf_block(
 
 
 def format_uncertain(string: UncertainString, precision: int = 6) -> str:
-    """Render ``string`` back into the ``A{(C,0.5),(G,0.5)}T`` notation."""
+    """Render ``string`` back into the ``A{(C,0.5),(G,0.5)}T`` notation.
+
+    A position is written bare only when ``probs == (1.0,)``; a single
+    alternative below 1.0 (kept verbatim by
+    :meth:`UncertainPosition.from_normalized`) keeps its block, so
+    :func:`parse_normalized` reads back the float it was given.
+    """
     parts: list[str] = []
     for pos in string:
-        if pos.is_certain:
+        if pos.probs == (1.0,):
             parts.append(pos.top)
         else:
             body = ",".join(f"({c},{p:.{precision}g})" for c, p in pos.items())

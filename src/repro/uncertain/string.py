@@ -330,6 +330,11 @@ class UncertainString:
             self._hash = hash(self._positions)
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # Ship the positions only: the cached slots rebuild where the
+        # string is loaded, and ``str`` hashes are salted per process.
+        return (UncertainString, (self._positions,))
+
     def __repr__(self) -> str:
         from repro.uncertain.parser import format_uncertain
 

@@ -100,7 +100,7 @@ class TestEveryK:
         for query in queries:
             candidates = engine.candidates(query, TAU, JoinStatistics(), k)
             assert set(search_truth(collection, query, k)) <= {
-                candidate_id for candidate_id, _ in candidates
+                candidate_id for candidate_id, _, _ in candidates
             }
 
     def test_searcher_from_store(self, store, collection, queries, k):

@@ -8,7 +8,10 @@ from repro.uncertain.parser import (
     parse_normalized,
     parse_uncertain,
 )
+from repro.uncertain.position import UncertainPosition
 from repro.uncertain.string import UncertainString
+
+from tests.helpers import ONE_MINUS_ULP
 
 
 class TestParse:
@@ -116,3 +119,19 @@ class TestParseNormalized:
         text = format_uncertain(once, precision=17)
         assert parse_normalized(text) == once
         assert format_uncertain(parse_normalized(text), precision=17) == text
+
+    def test_weighted_single_alternative_round_trips(self):
+        # A single alternative below 1.0 keeps its block, so it reads
+        # back at its own float, not at 1.0.
+        once = UncertainString(
+            [
+                UncertainPosition.from_normalized([("a", ONE_MINUS_ULP)]),
+                UncertainPosition({"b": 0.5, "c": 0.5}),
+                UncertainPosition.certain("d"),
+            ]
+        )
+        text = format_uncertain(once, precision=17)
+        assert text == "{(a,0.99999999999999989)}{(b,0.5),(c,0.5)}d"
+        assert parse_normalized(text) == once
+        # A lone alternative parse_uncertain reads is exactly 1.0: bare.
+        assert format_uncertain(parse_uncertain("{(a,1)}b")) == "ab"

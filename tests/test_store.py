@@ -17,14 +17,16 @@ import pickle
 import random
 import sqlite3
 import sys
+import tempfile
 import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import JoinConfig
-from repro.core.engine import JoinEngine
 from repro.core.errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -34,6 +36,7 @@ from repro.core.join import similarity_join
 from repro.core.merge import merge_run
 from repro.core.parallel import parallel_similarity_join
 from repro.core.search import SimilaritySearcher
+from repro.core.stats import JoinStatistics
 from repro.core.topk import top_k_join
 from repro.partition.even import partition_for
 from repro.store import (
@@ -47,10 +50,13 @@ from repro.store import (
     collection_digest,
     store_similarity_join,
 )
+from repro.store import source as store_source
+from repro.store.source import READ_BLOCK
 from repro.uncertain.parser import format_uncertain
+from repro.uncertain.string import UncertainString
 
 from tests import equivalence_spec as spec
-from tests.helpers import random_collection
+from tests.helpers import random_collection, uncertain_strings
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_driver_outputs.json").read_text()
@@ -397,6 +403,22 @@ class TestStoredFloats:
             loaded
         )
 
+    @given(st.lists(uncertain_strings(verbatim=True), min_size=1, max_size=8))
+    @settings(max_examples=25, deadline=None)
+    def test_verbatim_strings_hydrate_equal(self, strings):
+        # Single alternatives kept verbatim below 1.0 survive the
+        # store's text round trip, by rank and by id.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "verbatim.db"
+            build_sqlite_store(iter(strings), path, k=1, q=2)
+            store = SqliteStore(path)
+            ids = list(store.ids_in_visit_order())
+            assert store.strings_at_ranks(0, len(strings)) == [
+                strings[i] for i in ids
+            ]
+            by_id = store.strings_by_ids(range(len(strings)))
+            assert [by_id[i] for i in range(len(strings))] == strings
+
     def test_posting_lists_identical(self, loaded, stores):
         memory_store, sqlite_store = stores
         assert sqlite_store.meta == memory_store.meta
@@ -425,16 +447,27 @@ class TestStoredFloats:
 
 
 class TestStoreStringCache:
-    def test_bounded_with_block_readahead(self, collection, sqlite_store):
-        cache = StoreStringCache(sqlite_store, capacity=8, read_block=4)
-        ranks = list(sqlite_store.ids_in_visit_order())
-        for string_id in ranks:  # sequential rank-order scan
-            assert format_uncertain(
-                cache[string_id], precision=17
-            ) == format_uncertain(collection[string_id], precision=17)
-        # One fetch per block, never one per string.
-        assert cache.fetches == (len(ranks) + 3) // 4
-        assert len(cache._entries) <= 8
+    def test_miss_reads_only_the_missing_id(
+        self, collection, sqlite_store, monkeypatch
+    ):
+        reads: list[list[int]] = []
+        strings_by_ids = SqliteStore.strings_by_ids
+
+        def counted(self, ids):
+            reads.append(list(ids))
+            return strings_by_ids(self, ids)
+
+        monkeypatch.setattr(SqliteStore, "strings_by_ids", counted)
+        cache = StoreStringCache(sqlite_store, capacity=4)
+        # Six misses, a hit on the most recent id, then a miss on the
+        # evicted oldest: one read of just that id per miss.
+        for string_id in [0, 1, 2, 3, 4, 5, 5, 0]:
+            assert canonical([cache[string_id]]) == canonical(
+                [collection[string_id]]
+            )
+            assert len(cache._entries) <= 4
+        assert reads == [[0], [1], [2], [3], [4], [5], [0]]
+        assert cache.fetches == 7
 
     def test_prefetch_batches_one_read(self, sqlite_store):
         cache = StoreStringCache(sqlite_store, capacity=64)
@@ -459,7 +492,7 @@ class TestStoreStringCache:
         assert cache.fetches == 2
 
     def test_shared_across_threads(self, collection, sqlite_store):
-        cache = StoreStringCache(sqlite_store, capacity=3, read_block=2)
+        cache = StoreStringCache(sqlite_store, capacity=3)
         errors: list[BaseException] = []
 
         def reader(seed):
@@ -488,12 +521,12 @@ class TestStoreStringCache:
         assert len(cache._entries) <= 3
 
     def test_take_bypasses_cache(self, collection, sqlite_store):
-        cache = StoreStringCache(sqlite_store, capacity=2)
-        got = cache.take([5, 1, 9])
+        facade = StoreCollection(sqlite_store)
+        got = facade.take([5, 1, 9])
         assert canonical(got) == canonical(
             [collection[5], collection[1], collection[9]]
         )
-        assert len(cache._entries) == 0
+        assert len(facade._cache._entries) == 0
 
 
 class TestStoreContext:
@@ -552,12 +585,6 @@ class TestStoreIndexSource:
         with pytest.raises(ConfigurationError, match="visit order"):
             source.register(ids[1], 5)
 
-    def test_engine_rejects_orphan_store_cache(self, store):
-        config = JoinConfig(k=K, tau=0.1, q=Q)
-        cache = StoreStringCache(store)
-        with pytest.raises(ConfigurationError, match="store_cache"):
-            JoinEngine(config, store_cache=cache)
-
 
 class TestDriverParity:
     """Store-backed drivers vs the in-memory reference, same collection."""
@@ -592,6 +619,63 @@ class TestDriverParity:
         assert outcome.pairs == reference.pairs
         assert calls["has_segment"] == 0
         assert calls["posting_lists"] > 0
+
+    @pytest.mark.parametrize("block", [READ_BLOCK, 16])
+    def test_visits_read_in_rank_blocks(
+        self, collection, sqlite_store, reference, block, monkeypatch
+    ):
+        # The self-join and the top-k read every visit string once, in
+        # ceil(N / READ_BLOCK) sequential reads; no visit string is read
+        # on its own, and candidates hit the strings the visits added.
+        monkeypatch.setattr(store_source, "READ_BLOCK", block)
+        calls = {"strings_at_ranks": 0, "strings_by_ids": 0}
+        for name in calls:
+            method = getattr(SqliteStore, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(SqliteStore, name, counted)
+        blocks = -(-len(collection) // block)
+        config = JoinConfig(k=K, tau=0.15, q=Q)
+        store = SqliteStore(sqlite_store.path)
+        assert store_similarity_join(store, config).pairs == reference.pairs
+        assert calls == {"strings_at_ranks": blocks, "strings_by_ids": 0}
+        calls.update(strings_at_ranks=0)
+        assert (
+            top_k_join(None, K, 12, q=Q, store=store).pairs
+            == top_k_join(collection, K, 12, q=Q).pairs
+        )
+        assert calls == {"strings_at_ranks": blocks, "strings_by_ids": 0}
+
+    def test_one_candidate_query_parses_one_string(
+        self, collection, tmp_path, monkeypatch
+    ):
+        lone = UncertainString.from_text("WWWWWWWW")
+        path = tmp_path / "lone.store"
+        build_sqlite_store(iter([*collection, lone]), path, k=K, q=Q)
+        config = JoinConfig(k=K, tau=0.15, q=Q)
+        searcher = SimilaritySearcher.from_store(SqliteStore(path), config)
+        candidates = searcher.engine.source.probe(
+            lone, config.tau, JoinStatistics(), K
+        )
+        assert [candidate_id for candidate_id, _ in candidates] == [
+            len(collection)
+        ]
+        parsed: list[int] = []
+        for name in ("strings_by_ids", "strings_at_ranks"):
+            method = getattr(SqliteStore, name)
+
+            def counted(self, *args, _method=method):
+                block = _method(self, *args)
+                parsed.append(len(block))
+                return block
+
+            monkeypatch.setattr(SqliteStore, name, counted)
+        matches = searcher.search(lone).matches
+        assert [match.string_id for match in matches] == [len(collection)]
+        assert sum(parsed) == 1
 
     def test_serial_join_tiny_cache(self, collection, sqlite_store):
         small = SqliteStore(sqlite_store.path, cache_size=4)

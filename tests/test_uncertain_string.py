@@ -1,6 +1,10 @@
 """Tests for repro.uncertain.string."""
 
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +155,41 @@ class TestProtocol:
 
     def test_repr_contains_notation(self, mixed):
         assert "{(C,0.5),(G,0.5)}" in repr(mixed)
+
+    def test_pickle_rehashes_in_the_loading_process(self, tmp_path):
+        # ``str`` hashes are salted per process: a string hashed and
+        # pickled under one seed must hash afresh where it is loaded.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        text = "A{(C,0.5),(G,0.5)}T"
+        blob = tmp_path / "string.pickle"
+        dump = (
+            "import pickle, sys\n"
+            "from repro.uncertain.parser import parse_uncertain\n"
+            f"s = parse_uncertain({text!r})\n"
+            "hash(s); s.agreement_table()\n"
+            "open(sys.argv[1], 'wb').write(pickle.dumps(s))\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "from repro.uncertain.parser import parse_uncertain\n"
+            "s = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            f"t = parse_uncertain({text!r})\n"
+            "print(s == t, hash(s) == hash(t), t in {s})\n"
+        )
+        for seed, script in (("1", dump), ("2", load)):
+            result = subprocess.run(
+                [sys.executable, "-c", script, str(blob)],
+                capture_output=True,
+                text=True,
+                env={"PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "True", "True"]
+
+    def test_pickle_ships_positions_only(self, mixed):
+        hash(mixed)
+        mixed.agreement_table()
+        clone = pickle.loads(pickle.dumps(mixed))
+        assert clone == mixed
+        assert clone._hash is None and clone._agreement_table is None
