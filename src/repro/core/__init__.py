@@ -29,8 +29,6 @@ from repro.core.stats import JoinStatistics
 from repro.core.engine import (
     CandidateSource,
     JoinEngine,
-    LengthBandSource,
-    SegmentIndexSource,
     iter_join_pairs,
     iter_matches,
 )
@@ -73,8 +71,6 @@ __all__ = [
     "JoinPair",
     "JoinEngine",
     "CandidateSource",
-    "SegmentIndexSource",
-    "LengthBandSource",
     "StageChain",
     "LengthBand",
     "SearchMatch",

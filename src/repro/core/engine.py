@@ -4,12 +4,11 @@ The paper's pipeline (length filter → q-gram segment index → frequency
 distance → CDF bounds → trie/DP verification) is *one* algorithm; this
 module owns it once. :class:`JoinEngine` combines
 
-* a :class:`CandidateSource` — candidate generation among previously
-  added strings, with the rank ↔ id mapping and visited-length
-  bookkeeping the drivers used to re-derive. Two implementations:
-  :class:`SegmentIndexSource` (the Section 4 inverted segment index)
-  and :class:`LengthBandSource` (the plain length filter, for variants
-  without q-gram filtering);
+* the one :class:`CandidateSource` — candidate generation among
+  previously added strings, with the rank ↔ id mapping and per-length
+  bookkeeping every driver shares. Its q-gram postings live in an
+  incrementally built segment index, in a prebuilt store, or nowhere
+  (the plain length filter, for variants without q-gram filtering);
 * the data-driven :class:`~repro.core.pipeline.StageChain`
   (frequency → CDF → verify), with τ supplied per candidate by a
   :data:`~repro.core.pipeline.TauProvider`;
@@ -26,7 +25,7 @@ have enough.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from repro.core.config import JoinConfig
 from repro.core.context import CollectionContext
@@ -34,7 +33,9 @@ from repro.core.errors import ConfigurationError
 from repro.core.pipeline import StageChain, TauProvider
 from repro.core.results import JoinPair, SearchMatch
 from repro.core.stats import JoinStatistics
-from repro.index.inverted import SegmentInvertedIndex
+from repro.index.inverted import SegmentInvertedIndex, index_partition
+from repro.index.probe import query_candidates
+from repro.partition.even import Segment
 from repro.uncertain.string import UncertainString
 
 #: One generated candidate: ``(string id, Theorem 2 upper bound)``;
@@ -56,27 +57,85 @@ class StringLookup(Protocol):
     def __len__(self) -> int: ...
 
 
-@runtime_checkable
-class CandidateSource(Protocol):
-    """Candidate generation among previously added strings.
+class CandidateSource:
+    """Candidate generation among registered strings: the length filter,
+    then Lemma 5 + Theorem 2 over segment postings (Section 4).
 
-    A source owns the visit bookkeeping the drivers used to duplicate:
-    the internal rank (insertion order) ↔ caller id mapping, and the
-    per-length population counts behind the ``length``/``qgram`` stage
-    counters. ``probe`` must count identically in every driver:
-    ``length.eligible`` for the length-filter universe, plus either
-    ``qgram.survivors``/``qgram.rejected`` (index sources) or
-    ``length.survivors`` (plain length filter).
+    The one source every engine uses. It owns the visit bookkeeping —
+    rank (registration order) → caller id, the ranks of each length,
+    and the ``length.eligible`` count — so every driver counts
+    identically. Only the home of the q-gram postings varies:
 
-    ``probe`` takes the edit threshold from its caller: one source
-    answers any ``k`` over the same strings (DESIGN.md §4).
+    * none, when the filter stack has no **Q**: every registered string
+      within ``k`` of the query's length is a candidate, with no upper
+      bound, recorded as ``length.survivors``;
+    * an incrementally built
+      :class:`~repro.index.inverted.SegmentInvertedIndex` (no
+      ``store``): :meth:`add` indexes each string under its rank;
+    * a ``store`` (an :class:`~repro.store.base.IndexStore`): its
+      postings are prebuilt, and a probe reads those with ``rank <``
+      the number registered so far — byte-identical to the incremental
+      index (see :mod:`repro.store.base`). Registrations must replay
+      the store's visit order, because its posting entries carry
+      store ranks.
+
+    ``probe`` records ``length.eligible`` plus either
+    ``qgram.survivors``/``qgram.rejected`` or ``length.survivors``, and
+    takes the edit threshold from its caller: one source answers any
+    ``k`` over the same strings (DESIGN.md §4).
     """
+
+    def __init__(self, config: JoinConfig, store: Any = None) -> None:
+        self._config = config
+        self._store = store
+        self._rank_to_id: list[int] = []
+        self._ranks_by_length: dict[int, list[int]] = {}
+        self._index: SegmentInvertedIndex | None = None
+        if store is not None:
+            store.meta.check_compatible(config)
+            self._visit_ids = store.ids_in_visit_order()
+        elif config.uses_qgram:
+            self._index = SegmentInvertedIndex(
+                k=config.k,
+                q=config.q,
+                selection=config.selection,
+                group_mode=config.group_mode,
+                bound_mode=config.bound_mode,
+            )
+
+    @property
+    def store(self) -> Any:
+        """The store holding the postings, or ``None``."""
+        return self._store
+
+    def __len__(self) -> int:
+        return len(self._rank_to_id)
+
+    def register(self, string_id: int, length: int) -> int:
+        """Register one string by id and length, without hydrating it,
+        and return its rank. Enough on its own when this source builds
+        no postings (no **Q**, or a store's); :meth:`add` otherwise."""
+        rank = len(self._rank_to_id)
+        if self._store is not None:
+            visit_ids = self._visit_ids
+            expected = visit_ids[rank] if rank < len(visit_ids) else "<exhausted>"
+            if expected != string_id:
+                raise ConfigurationError(
+                    "store-backed source must replay the store's visit order: "
+                    f"rank {rank} got id {string_id}, store has {expected}"
+                )
+        self._rank_to_id.append(string_id)
+        self._ranks_by_length.setdefault(length, []).append(rank)
+        return rank
 
     def add(
         self, string_id: int, string: UncertainString, stats: JoinStatistics
     ) -> None:
         """Register ``string`` so later probes can return it."""
-        ...
+        rank = self.register(string_id, len(string))
+        if self._index is not None:
+            with stats.timer("index"):
+                self._index.add(rank, string)
 
     def probe(
         self,
@@ -85,112 +144,84 @@ class CandidateSource(Protocol):
         stats: JoinStatistics,
         k: int,
     ) -> list[SourceCandidate]:
-        """Candidates among added strings at edit threshold ``k``,
-        ascending by insertion rank."""
-        ...
-
-    def __len__(self) -> int: ...
-
-
-class SegmentIndexSource:
-    """Candidate generation through the Section 4 inverted segment index.
-
-    Strings are indexed under their insertion rank (ranks ascend by
-    construction, which keeps posting lists sorted); probes prune with
-    Lemma 5 + Theorem 2 and report the surviving candidates' Theorem 2
-    upper bounds for the chain to reuse.
-    """
-
-    def __init__(self, config: JoinConfig) -> None:
-        self._index = SegmentInvertedIndex(
-            k=config.k,
-            q=config.q,
-            selection=config.selection,
-            group_mode=config.group_mode,
-            bound_mode=config.bound_mode,
-        )
-        self._rank_to_id: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._rank_to_id)
-
-    def add(
-        self, string_id: int, string: UncertainString, stats: JoinStatistics
-    ) -> None:
-        rank = len(self._rank_to_id)
-        with stats.timer("index"):
-            self._index.add(rank, string)
-        self._rank_to_id.append(string_id)
-
-    def probe(
-        self,
-        query: UncertainString,
-        tau: float,
-        stats: JoinStatistics,
-        k: int,
-    ) -> list[SourceCandidate]:
-        index = self._index
+        """Candidates among registered strings at edit threshold ``k``,
+        ascending by rank."""
         length = len(query)
-        eligible = sum(
-            len(index.ids_of_length(other_length))
-            for other_length in index.visit_lengths()
+        bands = [
+            ranks
+            for other_length, ranks in self._ranks_by_length.items()
             if abs(other_length - length) <= k
-        )
+        ]
+        eligible = sum(map(len, bands))
         stats.record("length", "eligible", eligible)
+        if not self._config.uses_qgram:
+            stats.record("length", "survivors", eligible)
+            return [
+                (self._rank_to_id[rank], None)
+                for rank in sorted(rank for ranks in bands for rank in ranks)
+            ]
         with stats.timer("qgram"):
-            ranked = index.probe(query, tau, k)
+            ranked = self._qgram_probe(query, tau, k)
         stats.record("qgram", "survivors", len(ranked))
         stats.record("qgram", "rejected", eligible - len(ranked))
         return [(self._rank_to_id[rank], upper) for rank, upper in ranked]
 
+    def _qgram_probe(
+        self, query: UncertainString, tau: float, k: int
+    ) -> list[tuple[int, float]]:
+        """``(rank, Theorem 2 upper bound)`` of the survivors, by rank."""
+        if self._index is not None:
+            return self._index.probe(query, tau, k)
+        config = self._config
+        candidates = query_candidates(
+            _RankLimitedView(self, len(self._rank_to_id)),
+            query,
+            tau,
+            k=k,
+            selection=config.selection,
+            group_mode=config.group_mode,
+            bound_mode=config.bound_mode,
+        )
+        return sorted((c.string_id, c.upper) for c in candidates)
 
-class LengthBandSource:
-    """Plain length-filter candidate generation (no q-gram index).
 
-    Serves the paper variants without **Q**: every added string within
-    edit-threshold length distance of the query is a candidate, with no
-    upper bound attached. ``k`` (the config's threshold) is only
-    validated here: each probe passes its own.
+class _RankLimitedView:
+    """The :class:`~repro.index.probe.PostingView` of one probe over a
+    store-backed source.
+
+    Fixes ``rank_limit`` at probe start (the number of strings
+    registered so far — exactly the prefix an incrementally built index
+    would contain), so concurrent probes over a fully registered source
+    each carry their own immutable limit.
     """
 
-    def __init__(self, k: int) -> None:
-        if k < 0:
-            raise ConfigurationError(f"k must be non-negative, got {k}")
-        self._rank_to_id: list[int] = []
-        self._ranks_by_length: dict[int, list[int]] = {}
+    __slots__ = ("_source", "_limit")
 
-    def __len__(self) -> int:
-        return len(self._rank_to_id)
+    def __init__(self, source: CandidateSource, limit: int) -> None:
+        self._source = source
+        self._limit = limit
 
-    def register(self, string_id: int, length: int) -> None:
-        """Register one string by id and length, without hydrating it
-        (the store-backed searcher's bulk-registration hook)."""
-        rank = len(self._rank_to_id)
-        self._rank_to_id.append(string_id)
-        self._ranks_by_length.setdefault(length, []).append(rank)
+    def partition_of(self, length: int) -> Sequence[Segment]:
+        meta = self._source.store.meta
+        return index_partition(length, meta.q, meta.k)
 
-    def add(
-        self, string_id: int, string: UncertainString, stats: JoinStatistics
-    ) -> None:
-        self.register(string_id, len(string))
+    def visit_lengths(self) -> list[int]:
+        return sorted(self._source._ranks_by_length)
 
-    def probe(
-        self,
-        query: UncertainString,
-        tau: float,
-        stats: JoinStatistics,
-        k: int,
-    ) -> list[SourceCandidate]:
-        length = len(query)
-        ranks: list[int] = []
-        for other_length, members in self._ranks_by_length.items():
-            if abs(other_length - length) <= k:
-                ranks.extend(members)
-        ranks.sort()
-        # Everything length-eligible survives: eligible == survivors here.
-        stats.record("length", "eligible", len(ranks))
-        stats.record("length", "survivors", len(ranks))
-        return [(self._rank_to_id[rank], None) for rank in ranks]
+    def ids_of_length(self, length: int) -> Sequence[int]:
+        return self._source._ranks_by_length.get(length, [])
+
+    def has_segment(self, length: int, segment_index: int) -> bool:
+        return self._source.store.has_segment(
+            length, segment_index, self._limit
+        )
+
+    def posting_lists(
+        self, length: int, segment_index: int, words: Sequence[str]
+    ) -> Mapping[str, Sequence[tuple[int, float]]]:
+        return self._source.store.posting_lists(
+            length, segment_index, words, self._limit
+        )
 
 
 def visit_order(
@@ -200,24 +231,6 @@ def visit_order(
     in ascending (length, id) order (a stable sort keeps ids ascending
     within a length)."""
     return sorted(enumerate(collection), key=lambda visit: len(visit[1]))
-
-
-def make_source(config: JoinConfig, store: Any = None) -> CandidateSource:
-    """The candidate source ``config``'s filter stack calls for.
-
-    ``store`` (an :class:`~repro.store.base.IndexStore`) routes q-gram
-    candidate generation through the store's prebuilt postings instead
-    of a per-string :class:`SegmentIndexSource`. Non-q-gram stacks
-    never read postings, so under ``store`` they still get the plain
-    length filter.
-    """
-    if not config.uses_qgram:
-        return LengthBandSource(config.k)
-    if store is None:
-        return SegmentIndexSource(config)
-    from repro.store.source import StoreIndexSource
-
-    return StoreIndexSource(config, store)
 
 
 class JoinEngine:
@@ -273,16 +286,22 @@ class JoinEngine:
         self.config = config
         self.stats = stats if stats is not None else JoinStatistics()
         self.tau: TauProvider = tau if tau is not None else (lambda: config.tau)
-        self.source = make_source(config, store=store)
+        self.source: CandidateSource
         self._strings: StringLookup
         if store is not None:
-            from repro.store.source import StoreContext, StoreStringCache
+            from repro.store.source import (
+                StoreContext,
+                StoreIndexSource,
+                StoreStringCache,
+            )
 
+            self.source = StoreIndexSource(config, store)
             cache = StoreStringCache(store)
             self._strings = cache
             if context is None:
                 context = StoreContext(cache.capacity)
         else:
+            self.source = CandidateSource(config)
             self._strings = {}
         self.chain = StageChain(config, force_exact=force_exact, context=context)
 

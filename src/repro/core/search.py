@@ -68,11 +68,11 @@ class SimilaritySearcher:
         searcher.config = config
         searcher._engine = JoinEngine(config, store=store)
         searcher.collection = StoreCollection(store)
-        register = getattr(searcher._engine.source, "register")
+        source = searcher._engine.source
         for string_id, length in zip(
             store.ids_in_visit_order(), store.lengths_in_visit_order()
         ):
-            register(string_id, length)
+            source.register(string_id, length)
         return searcher
 
     @property

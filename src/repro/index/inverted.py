@@ -7,6 +7,12 @@ list ``L^x_l(w) = [(string id, Pr(w = S_i^x)), ...]`` sorted by id. A
 string id appears at most once per list and in as many lists of ``L^x_l``
 as its segment has instances.
 
+Postings are built in one place: :func:`segment_postings` lists the
+entries one string contributes, and this index, the
+:class:`~repro.store.memory.MemoryStore` reference (which is this index
+built under visit ranks) and the SQLite store builder all consume it.
+:func:`index_partition` is the one partition every index reads.
+
 Strings are inserted in ascending id order by the join driver *after*
 being queried, so posting lists stay sorted by construction and no pair is
 enumerated twice.
@@ -14,7 +20,8 @@ enumerated twice.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Iterator, Mapping, Sequence
 
 from repro.filters.alpha import GroupMode
 from repro.index.probe import IndexCandidate, query_candidates
@@ -23,7 +30,34 @@ from repro.partition.selection import SelectionMode
 from repro.uncertain.string import UncertainString
 from repro.uncertain.worlds import window_worlds
 
-__all__ = ["IndexCandidate", "SegmentInvertedIndex"]
+__all__ = [
+    "IndexCandidate",
+    "SegmentInvertedIndex",
+    "index_partition",
+    "segment_postings",
+]
+
+
+@lru_cache(maxsize=4096)
+def index_partition(length: int, q: int, k: int) -> tuple[Segment, ...]:
+    """The segments an index built at ``(q, k)`` holds for strings of
+    ``length``: the canonical partition, and none for the empty string
+    (which flows through the vacuous-pigeonhole path like other strings
+    shorter than k + 1)."""
+    return tuple(partition_for(length, q, k)) if length else ()
+
+
+def segment_postings(
+    string: UncertainString, q: int, k: int
+) -> Iterator[tuple[int, str, float]]:
+    """The posting entries ``string`` contributes to a ``(q, k)`` index:
+    ``(segment index, word, probability)`` for every world of every
+    segment of its partition with a positive probability, in segment
+    order."""
+    for segment in index_partition(len(string), q, k):
+        for word, prob in window_worlds(string, segment.start, segment.length):
+            if prob > 0.0:
+                yield segment.index, word, prob
 
 
 class SegmentInvertedIndex:
@@ -60,9 +94,7 @@ class SegmentInvertedIndex:
         self.bound_mode = bound_mode
         # (length, segment index x) -> instance w -> sorted postings.
         self._lists: dict[tuple[int, int], dict[str, list[tuple[int, float]]]] = {}
-        self._partitions: dict[int, list[Segment]] = {}
         self._ids_by_length: dict[int, list[int]] = {}
-        self._indexed_lengths: set[int] = set()
         self._entry_count = 0
         self._last_id: int | None = None
 
@@ -70,17 +102,10 @@ class SegmentInvertedIndex:
     # maintenance
     # ------------------------------------------------------------------
 
-    def partition_of(self, length: int) -> list[Segment]:
-        """Canonical (q, k) partition of strings with ``length``.
-
-        Zero-length strings have no segments; they flow through the
-        vacuous-pigeonhole path like other strings shorter than k + 1.
-        """
-        partition = self._partitions.get(length)
-        if partition is None:
-            partition = [] if length == 0 else partition_for(length, self.q, self.k)
-            self._partitions[length] = partition
-        return partition
+    def partition_of(self, length: int) -> Sequence[Segment]:
+        """Canonical (q, k) partition of strings with ``length`` (see
+        :func:`index_partition`)."""
+        return index_partition(length, self.q, self.k)
 
     def add(self, string_id: int, string: UncertainString) -> None:
         """Insert ``string``'s segment instances; ids must be ascending."""
@@ -91,16 +116,15 @@ class SegmentInvertedIndex:
             )
         self._last_id = string_id
         length = len(string)
-        self._indexed_lengths.add(length)
         self._ids_by_length.setdefault(length, []).append(string_id)
-        for segment in self.partition_of(length):
-            lists = self._lists.setdefault((length, segment.index), {})
-            for word, prob in window_worlds(
-                string, segment.start, segment.length
-            ):
-                if prob > 0.0:
-                    lists.setdefault(word, []).append((string_id, prob))
-                    self._entry_count += 1
+        segment_lists: dict[str, list[tuple[int, float]]] = {}
+        current = 0  # segment indices start at 1
+        for segment_index, word, prob in segment_postings(string, self.q, self.k):
+            if segment_index != current:
+                current = segment_index
+                segment_lists = self._lists.setdefault((length, current), {})
+            segment_lists.setdefault(word, []).append((string_id, prob))
+            self._entry_count += 1
 
     @property
     def entry_count(self) -> int:
@@ -110,7 +134,7 @@ class SegmentInvertedIndex:
     @property
     def indexed_lengths(self) -> set[int]:
         """String lengths currently present in the index."""
-        return set(self._indexed_lengths)
+        return set(self._ids_by_length)
 
     # ------------------------------------------------------------------
     # probing — the PostingView surface of repro.index.probe
@@ -118,7 +142,7 @@ class SegmentInvertedIndex:
 
     def visit_lengths(self) -> list[int]:
         """Lengths with at least one indexed string, ascending."""
-        return sorted(self._indexed_lengths)
+        return sorted(self._ids_by_length)
 
     def ids_of_length(self, length: int) -> Sequence[int]:
         """Ids of the indexed strings of ``length``, ascending."""
@@ -161,8 +185,9 @@ class SegmentInvertedIndex:
         self, query: UncertainString, tau: float, k: int
     ) -> list[tuple[int, float]]:
         """``(string id, Theorem 2 upper bound)`` for every surviving
-        candidate at ``k``, ascending by id — the flat adapter surface
-        consumed by :class:`repro.core.engine.SegmentIndexSource`."""
+        candidate at ``k``, ascending by id — the flat surface
+        :class:`repro.core.engine.CandidateSource` reads when its
+        postings live in this index."""
         pairs = [
             (candidate.string_id, candidate.upper)
             for candidate in self.query(query, tau, k)

@@ -7,8 +7,9 @@ repo's byte-identity guarantee across index backends (the in-memory
 dict index, the out-of-core SQLite store) holds because that sequence
 lives *here*, exactly once, parameterized by a :class:`PostingView`
 that only answers "which posting lists exist and what do they hold".
-Both backends therefore accumulate the same floats in the same order;
-neither can drift without the other.
+Every posting home therefore accumulates the same floats in the same
+order; none can drift from the others. The homes' postings come from
+one builder too (:func:`repro.index.inverted.segment_postings`).
 
 Postings come first, weights second. Per segment the probe collects
 the query's window occurrences (word → starts), asks the view which of
@@ -39,9 +40,9 @@ every k (DESIGN.md §4), except under ``"multimatch"`` selection.
 
 A view answers in *rank* space: posting entries carry the insertion
 rank the index was built under, and every returned candidate's
-``string_id`` is such a rank. Callers that key results differently
-(e.g. :class:`repro.core.engine.SegmentIndexSource`, whose ranks are
-visit positions) translate afterwards.
+``string_id`` is such a rank. :class:`repro.core.engine.CandidateSource`,
+the one caller, builds or reads every home under visit ranks and
+translates them to caller ids afterwards.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ class PostingView(Protocol):
     """What a probe needs to know about an index, wherever it lives.
 
     Implementations: :class:`repro.index.inverted.SegmentInvertedIndex`
-    (postings in dicts) and the rank-limited store views of
-    :mod:`repro.store` (postings in SQLite pages or a prebuilt memory
-    image). All ids are insertion ranks.
+    (postings in dicts) and the rank-limited view a store-backed
+    :class:`repro.core.engine.CandidateSource` reads through (postings
+    in SQLite pages or a :class:`repro.store.memory.MemoryStore`). All
+    ids are insertion ranks.
     """
 
     def partition_of(self, length: int) -> Sequence[Segment]:

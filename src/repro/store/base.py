@@ -13,16 +13,21 @@ partition, and a run or request at any other ``k`` reuses the postings
 
 Two implementations:
 
-* :class:`repro.store.memory.MemoryStore` — the reference: the same
-  dict-of-posting-lists layout :class:`repro.index.inverted` builds,
-  frozen and rank-addressed. It exists to pin the adapter layer — any
-  divergence between a store-backed run and the classic in-memory run
-  can be bisected to either the adapter (MemoryStore differs) or the
-  SQLite page layer (only SqliteStore differs).
+* :class:`repro.store.memory.MemoryStore` — the reference: a
+  :class:`~repro.index.inverted.SegmentInvertedIndex` fed the visits
+  under their ranks, plus the rank-limited read. It exists to pin the
+  adapter layer — any divergence between a store-backed run and the
+  classic in-memory run can be bisected to either the adapter
+  (MemoryStore differs) or the SQLite page layer (only SqliteStore
+  differs).
 * :class:`repro.store.sqlite.SqliteStore` — the out-of-core store: one
   SQLite file holding per-string records, posting lists, and metadata,
   probed with batched ``IN (...)`` lookups. Peak RSS is governed by the
   hydration caches of :mod:`repro.store.source`, not collection size.
+
+Both stores, like the in-memory index, take their posting entries from
+:func:`repro.index.inverted.segment_postings`; the engine reads any of
+them through the one :class:`~repro.core.engine.CandidateSource`.
 
 Why probing a full prebuilt index restricted to ``rank < limit`` is
 byte-identical to probing an index built incrementally up to that

@@ -2,10 +2,10 @@
 
 Holds exactly what the SQLite store persists — rank-ordered string
 records plus ``(length, segment) → word → [(rank, prob)]`` posting
-lists — but in plain Python structures, built with the same partition
-and world enumeration :class:`repro.index.inverted.SegmentInvertedIndex`
-uses. Rank limits are applied by binary search over the rank-sorted
-lists, mirroring the SQL ``rank < ?`` predicate.
+lists — in a :class:`repro.index.inverted.SegmentInvertedIndex` built
+by adding the visits under their ranks. What it adds is the
+rank-limited read: binary search over the rank-sorted lists, mirroring
+the SQL ``rank < ?`` predicate.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.engine import visit_order
-from repro.partition.even import partition_for
+from repro.index.inverted import SegmentInvertedIndex
 from repro.store.base import STORE_PRECISION, StoreMeta
 from repro.uncertain.parser import format_uncertain
 from repro.uncertain.string import UncertainString
-from repro.uncertain.worlds import window_worlds
 
 
 def collection_digest(collection: Iterable[UncertainString]) -> str:
@@ -42,37 +41,18 @@ class MemoryStore:
         k: int,
         q: int,
     ) -> None:
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        if q <= 0:
-            raise ValueError(f"q must be positive, got {q}")
+        self._index = SegmentInvertedIndex(k=k, q=q)
         self._collection = list(collection)
         visits = visit_order(self._collection)
         self._ids_visit = [string_id for string_id, _ in visits]
         self._lengths_visit = [len(string) for _, string in visits]
-        # (length, segment index) -> word -> [(rank, prob)] ascending.
-        self._lists: dict[
-            tuple[int, int], dict[str, list[tuple[int, float]]]
-        ] = {}
-        entry_count = 0
         for rank, (_, string) in enumerate(visits):
-            length = len(string)
-            partition = (
-                [] if length == 0 else partition_for(length, q, k)
-            )
-            for segment in partition:
-                lists = self._lists.setdefault((length, segment.index), {})
-                for word, prob in window_worlds(
-                    string, segment.start, segment.length
-                ):
-                    if prob > 0.0:
-                        lists.setdefault(word, []).append((rank, prob))
-                        entry_count += 1
+            self._index.add(rank, string)
         self.meta = StoreMeta(
             k=k,
             q=q,
             count=len(self._collection),
-            entry_count=entry_count,
+            entry_count=self._index.entry_count,
             digest=collection_digest(self._collection),
         )
 
@@ -99,11 +79,14 @@ class MemoryStore:
     def has_segment(
         self, length: int, segment_index: int, rank_limit: int
     ) -> bool:
-        lists = self._lists.get((length, segment_index))
-        if not lists:
-            return False
-        return any(
-            postings[0][0] < rank_limit for postings in lists.values()
+        # Every string has postings in every segment of its partition
+        # (its most likely window world has a positive probability), so
+        # a segment has one below the limit iff its length's first rank
+        # is below it.
+        ranks = self._index.ids_of_length(length)
+        return (
+            self._index.has_segment(length, segment_index)
+            and ranks[0] < rank_limit
         )
 
     def posting_lists(
@@ -113,14 +96,9 @@ class MemoryStore:
         words: Sequence[str],
         rank_limit: int,
     ) -> Mapping[str, Sequence[tuple[int, float]]]:
-        lists = self._lists.get((length, segment_index))
-        if not lists:
-            return {}
         out: dict[str, Sequence[tuple[int, float]]] = {}
-        for word in words:
-            postings = lists.get(word)
-            if not postings:
-                continue
+        lists = self._index.posting_lists(length, segment_index, words)
+        for word, postings in lists.items():
             # Entries ascend by rank; (rank_limit,) sorts before any
             # (rank_limit, prob), so bisect_left cuts at rank >= limit.
             cut = bisect_left(postings, (rank_limit,))

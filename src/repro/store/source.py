@@ -4,13 +4,13 @@ Four pieces bridge an :class:`~repro.store.base.IndexStore` into the
 streaming engine of :mod:`repro.core.engine` while keeping peak RSS
 proportional to cache capacity, never to the collection:
 
-* :class:`StoreIndexSource` — a ``CandidateSource`` whose postings live
-  in the store. ``add``/``register`` only maintain the rank ↔ id and
-  per-length bookkeeping (the postings are prebuilt); probes run the
-  shared math of :mod:`repro.index.probe` over a rank-limited view, so
-  results are byte-identical to an incrementally built
-  :class:`~repro.core.engine.SegmentIndexSource`. The partition is the
-  store's; the probe k is whatever the caller asks.
+* :class:`StoreIndexSource` — the engine's one
+  :class:`~repro.core.engine.CandidateSource` with its postings in the
+  store. Registration keeps only the rank ↔ id and per-length
+  bookkeeping (the postings are prebuilt); probes run the shared math
+  of :mod:`repro.index.probe` over the store's ``rank < limit``
+  postings, so results are byte-identical to an in-memory run. The
+  partition is the store's; the probe k is whatever the caller asks.
 * :class:`StoreStringCache` — a bounded LRU of hydrated strings that
   reads only what its caller asks for: a miss reads the one missing
   id, and ``prefetch`` reads the block the engine is about to refine
@@ -34,14 +34,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
-from repro.core.config import JoinConfig
 from repro.core.context import CollectionContext, StringFeatures
-from repro.core.errors import ConfigurationError
-from repro.core.stats import JoinStatistics
-from repro.index.probe import query_candidates
-from repro.partition.even import Segment, partition_for
+from repro.core.engine import CandidateSource
 from repro.store.base import DEFAULT_CACHE_SIZE, IndexStore
 from repro.uncertain.string import UncertainString
 
@@ -220,135 +216,13 @@ class StoreContext(CollectionContext):
         return features
 
 
-class _RankLimitedView:
-    """The :class:`~repro.index.probe.PostingView` of one probe.
+class StoreIndexSource(CandidateSource):
+    """The :class:`~repro.core.engine.CandidateSource` of a store-backed
+    engine: the one source with its postings in an
+    :class:`~repro.store.base.IndexStore`.
 
-    Fixes ``rank_limit`` at probe start (the number of strings
-    registered so far — exactly the prefix an incrementally built index
-    would contain), so concurrent probes over a fully built source each
-    carry their own immutable limit.
+    It adds nothing to the base class — ``StoreIndexSource(config,
+    store)`` is ``CandidateSource(config, store)``. The name lets
+    store-backed probes be told apart from in-memory ones, e.g. by a
+    profiler wrapping ``StoreIndexSource.probe``.
     """
-
-    __slots__ = ("_source", "_limit")
-
-    def __init__(self, source: "StoreIndexSource", limit: int) -> None:
-        self._source = source
-        self._limit = limit
-
-    def partition_of(self, length: int) -> Sequence[Segment]:
-        return self._source.partition_of(length)
-
-    def visit_lengths(self) -> list[int]:
-        return sorted(self._source._ranks_by_length)
-
-    def ids_of_length(self, length: int) -> Sequence[int]:
-        return self._source._ranks_by_length.get(length, [])
-
-    def has_segment(self, length: int, segment_index: int) -> bool:
-        return self._source._store.has_segment(
-            length, segment_index, self._limit
-        )
-
-    def posting_lists(
-        self, length: int, segment_index: int, words: Sequence[str]
-    ) -> Mapping[str, Sequence[tuple[int, float]]]:
-        return self._source._store.posting_lists(
-            length, segment_index, words, self._limit
-        )
-
-
-class StoreIndexSource:
-    """Candidate generation over a store's prebuilt segment postings.
-
-    The ``CandidateSource`` counterpart of
-    :class:`~repro.core.engine.SegmentIndexSource` when the index lives
-    in an :class:`~repro.store.base.IndexStore`. ``add`` (or the
-    hydration-free ``register``) replays bookkeeping only — rank ↔ id,
-    per-length counts — and must follow the store's visit order exactly,
-    because posting entries carry store ranks. Probes restrict the
-    store's full posting lists to the registered prefix via
-    ``rank < limit``; see :mod:`repro.store.base` for why that is
-    byte-identical to probing an incrementally built index. Partitions
-    follow the store's build k; each probe passes its own k.
-    """
-
-    def __init__(self, config: JoinConfig, store: IndexStore) -> None:
-        store.meta.check_compatible(config)
-        self._store = store
-        self._config = config
-        self._rank_to_id: list[int] = []
-        self._ranks_by_length: dict[int, list[int]] = {}
-        self._partitions: dict[int, list[Segment]] = {}
-        self._visit_ids = store.ids_in_visit_order()
-
-    @property
-    def store(self) -> IndexStore:
-        return self._store
-
-    def __len__(self) -> int:
-        return len(self._rank_to_id)
-
-    def partition_of(self, length: int) -> list[Segment]:
-        partition = self._partitions.get(length)
-        if partition is None:
-            meta = self._store.meta
-            partition = (
-                [] if length == 0 else partition_for(length, meta.q, meta.k)
-            )
-            self._partitions[length] = partition
-        return partition
-
-    def register(self, string_id: int, length: int) -> None:
-        """Register one string by id and length, without hydrating it."""
-        rank = len(self._rank_to_id)
-        if rank >= len(self._visit_ids) or self._visit_ids[rank] != string_id:
-            expected = (
-                self._visit_ids[rank]
-                if rank < len(self._visit_ids)
-                else "<exhausted>"
-            )
-            raise ConfigurationError(
-                "store-backed source must replay the store's visit order: "
-                f"rank {rank} got id {string_id}, store has {expected}"
-            )
-        self._rank_to_id.append(string_id)
-        self._ranks_by_length.setdefault(length, []).append(rank)
-
-    def add(
-        self, string_id: int, string: UncertainString, stats: JoinStatistics
-    ) -> None:
-        self.register(string_id, len(string))
-
-    def probe(
-        self,
-        query: UncertainString,
-        tau: float,
-        stats: JoinStatistics,
-        k: int,
-    ) -> list[tuple[int, "float | None"]]:
-        config = self._config
-        length = len(query)
-        eligible = sum(
-            len(ranks)
-            for other_length, ranks in self._ranks_by_length.items()
-            if abs(other_length - length) <= k
-        )
-        stats.record("length", "eligible", eligible)
-        with stats.timer("qgram"):
-            view = _RankLimitedView(self, len(self._rank_to_id))
-            ranked = [
-                (candidate.string_id, candidate.upper)
-                for candidate in query_candidates(
-                    view,
-                    query,
-                    tau,
-                    k=k,
-                    selection=config.selection,
-                    group_mode=config.group_mode,
-                    bound_mode=config.bound_mode,
-                )
-            ]
-            ranked.sort()
-        stats.record("qgram", "survivors", len(ranked))
-        stats.record("qgram", "rejected", eligible - len(ranked))
-        return [(self._rank_to_id[rank], upper) for rank, upper in ranked]

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import CheckpointCorruptError
-from repro.partition.even import partition_for
+from repro.index.inverted import segment_postings
 from repro.store.base import (
     DEFAULT_CACHE_SIZE,
     STORE_FORMAT,
@@ -53,7 +53,6 @@ from repro.store.base import (
 )
 from repro.uncertain.parser import format_uncertain, parse_normalized
 from repro.uncertain.string import UncertainString
-from repro.uncertain.worlds import window_worlds
 
 #: Bound variables per ``IN (...)`` batch — comfortably under every
 #: SQLite build's variable cap (999 on the oldest still-deployed ones).
@@ -168,26 +167,22 @@ def build_sqlite_store(
         for rank, length, text in read_cursor.execute(
             "SELECT rank, length, text FROM strings ORDER BY rank"
         ):
-            string = parse_normalized(text)
-            partition = [] if length == 0 else partition_for(length, q, k)
-            for segment in partition:
-                for word, prob in window_worlds(
-                    string, segment.start, segment.length
-                ):
-                    if prob > 0.0:
-                        postings.append(
-                            (length, segment.index, word, rank, prob)
-                        )
-                        entry_count += 1
+            postings.extend(
+                (length, segment_index, word, rank, prob)
+                for segment_index, word, prob in segment_postings(
+                    parse_normalized(text), q, k
+                )
+            )
             if len(postings) >= _BUILD_BATCH:
                 connection.executemany(
                     "INSERT INTO staging VALUES (?, ?, ?, ?, ?)", postings
                 )
+                entry_count += len(postings)
                 postings.clear()
-        if postings:
-            connection.executemany(
-                "INSERT INTO staging VALUES (?, ?, ?, ?, ?)", postings
-            )
+        connection.executemany(
+            "INSERT INTO staging VALUES (?, ?, ?, ?, ?)", postings
+        )
+        entry_count += len(postings)
         connection.executescript(
             """
             INSERT INTO postings

@@ -13,6 +13,11 @@ answer.
 traversal stops as soon as the accumulated mass exceeds ``tau`` (accept) or
 provably cannot reach it (reject), which the paper lists as future work on
 the verification step.
+
+One verification of a pair with many worlds can run for seconds, so the
+traversal is a cooperative deadline check point too: every
+``CHECK_STRIDE`` steps it calls :func:`repro.core.deadline.check_active`,
+which costs one thread-local read when no deadline scope is active.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.core.deadline import check_active
 from repro.uncertain.string import UncertainString
 from repro.verify.active import (
     ActiveNodes,
@@ -28,6 +34,11 @@ from repro.verify.active import (
 )
 from repro.verify.naive import WORLD_MASS_SLACK
 from repro.verify.trie import Trie, build_trie
+
+#: Traversal steps between deadline checks. A step advances the active
+#: set once per character of one position of ``S``: microseconds on
+#: small tries, milliseconds on wide ones.
+CHECK_STRIDE = 16
 
 
 @dataclass
@@ -106,7 +117,11 @@ def _traverse(
     root_active = initial_active_nodes(trie.root, k)
     # Iterative DFS: (depth, prefix probability, active set).
     stack: list[tuple[int, float, ActiveNodes]] = [(0, 1.0, root_active)]
+    steps = 0
     while stack:
+        steps += 1
+        if steps % CHECK_STRIDE == 0:
+            check_active()
         depth, prob, active = stack.pop()
         if depth == target_depth:
             stats.leaf_instances += 1

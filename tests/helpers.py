@@ -19,19 +19,47 @@ from __future__ import annotations
 
 import heapq
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+from repro.core.config import JoinConfig
+from repro.core.engine import CandidateSource
 from repro.filters.alpha import _split_into_groups, group_probability
 from repro.filters.events import markov_tail_bound, tail_probability
 from repro.filters.frequency import FrequencyProfile, poisson_binomial_pmf
 from repro.index.probe import IndexCandidate
 from repro.partition.selection import substring_starts
+from repro.store import (
+    MemoryStore,
+    SqliteStore,
+    StoreIndexSource,
+    build_sqlite_store,
+)
 from repro.uncertain.alphabet import Alphabet
 from repro.uncertain.position import UncertainPosition
 from repro.uncertain.string import UncertainString
 
 SMALL_ALPHABET = Alphabet("ACGT")
+
+#: Where the one candidate source keeps its q-gram postings: nowhere (a
+#: stack without Q), an in-memory index, or a store of either kind.
+SOURCE_MODES = ("none", "index", "memory", "sqlite")
+
+
+def source_in_mode(mode, collection, k, q, workdir, tau=0.1):
+    """An empty :class:`CandidateSource` over ``collection`` with its
+    postings in ``mode``'s home; stores are built at ``(k, q)`` (the
+    SQLite file under ``workdir``). Register in visit order."""
+    algorithm = "FCT" if mode == "none" else "QFCT"
+    config = JoinConfig.for_algorithm(algorithm, k=k, tau=tau, q=q)
+    if mode in ("none", "index"):
+        return CandidateSource(config)
+    if mode == "memory":
+        return StoreIndexSource(config, MemoryStore(collection, k=k, q=q))
+    path = Path(workdir) / f"{mode}-k{k}-q{q}.db"
+    build_sqlite_store(iter(collection), path, k=k, q=q)
+    return StoreIndexSource(config, SqliteStore(path))
 
 
 def random_uncertain(

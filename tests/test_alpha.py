@@ -1,6 +1,5 @@
 """Tests for segment match probabilities and equivalent substring sets."""
 
-import itertools
 import random
 
 import pytest

@@ -14,7 +14,6 @@ from repro.datasets.loader import (
 from repro.datasets.names import LENGTH_RANGE as NAME_RANGE, generate_author_names
 from repro.datasets.presets import dblp_like_collection, protein_like_collection
 from repro.datasets.protein import (
-    AMINO_ACID_FREQUENCIES,
     LENGTH_RANGE as PROTEIN_RANGE,
     generate_protein_strings,
 )

@@ -14,18 +14,18 @@ from repro.core.config import JoinConfig
 from repro.core.engine import (
     CandidateSource,
     JoinEngine,
-    LengthBandSource,
-    SegmentIndexSource,
     iter_join_pairs,
+    visit_order,
 )
 from repro.core.incremental import IncrementalJoiner
 from repro.core.join import similarity_join
 from repro.core.pipeline import StageChain
 from repro.core.search import SimilaritySearcher
 from repro.core.stats import JoinStatistics
+from repro.store import StoreIndexSource
 from repro.uncertain.string import UncertainString
 
-from tests.helpers import random_collection
+from tests.helpers import SOURCE_MODES, random_collection, source_in_mode
 
 
 def qfct(k=1, tau=0.1, **kwargs):
@@ -169,22 +169,25 @@ class TestBoundPlumbing:
 
 
 class TestCandidateSources:
-    def test_sources_satisfy_protocol(self):
-        assert isinstance(SegmentIndexSource(qfct()), CandidateSource)
-        assert isinstance(LengthBandSource(1), CandidateSource)
+    def test_sources_satisfy_protocol(self, tmp_path):
+        # One class in every mode; the store-backed name adds nothing.
+        collection = [UncertainString.from_text("ACGT")]
+        for mode in SOURCE_MODES:
+            source = source_in_mode(mode, collection, 1, 2, tmp_path)
+            assert isinstance(source, CandidateSource)
+        assert StoreIndexSource.__bases__ == (CandidateSource,)
+        assert set(vars(StoreIndexSource)) <= {"__module__", "__doc__"}
 
-    def test_length_band_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            LengthBandSource(-1)
-
-    def test_sources_map_ranks_to_caller_ids(self):
+    def test_sources_map_ranks_to_caller_ids(self, tmp_path):
         strings = {
             17: UncertainString.from_text("ACGT"),
             5: UncertainString.from_text("ACGA"),
             99: UncertainString.from_text("AAAAAAAAAA"),
         }
         query = UncertainString.from_text("ACGG")
-        for source in (SegmentIndexSource(qfct()), LengthBandSource(1)):
+        # Without a store, ids and their order are the caller's.
+        for mode in ("none", "index"):
+            source = source_in_mode(mode, [], 1, 2, tmp_path)
             stats = JoinStatistics()
             for string_id, string in strings.items():
                 source.add(string_id, string, stats)
@@ -192,6 +195,31 @@ class TestCandidateSources:
             ids = [cid for cid, _ in source.probe(query, 0.0, stats, 1)]
             # id 99 is length-pruned; insertion (rank) order preserved.
             assert ids == [17, 5]
+
+    @pytest.mark.parametrize("mode", SOURCE_MODES)
+    def test_engines_join_alike_in_every_mode(self, mode, tmp_path):
+        # The engine over each mode's source yields the in-memory join's
+        # pairs and candidate-stage counters.
+        rng = random.Random(48)
+        collection = random_collection(rng, 20, length_range=(2, 8))
+        source = source_in_mode(mode, collection, 1, 2, tmp_path)
+        config = JoinConfig.for_algorithm(
+            "FCT" if mode == "none" else "QFCT", k=1, tau=0.1, q=2
+        )
+        expected = similarity_join(collection, config)
+        engine = JoinEngine(config, store=source.store)
+        assert type(engine.source) is type(source)
+        pairs = sorted(engine.join(visit_order(collection)))
+        assert pairs == expected.pairs
+        for name in (
+            "length_eligible_pairs",
+            "length_survivors",
+            "qgram_survivors",
+            "qgram_rejected",
+        ):
+            assert getattr(engine.stats, name) == getattr(
+                expected.stats, name
+            ), name
 
     def test_engine_accepts_arbitrary_ids(self):
         engine = JoinEngine(qfct(tau=0.0))

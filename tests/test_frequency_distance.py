@@ -1,6 +1,5 @@
 """Tests for deterministic frequency vectors and frequency distance."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.baselines.brute import brute_force_join
-from repro.core.config import ALGORITHMS, JoinConfig
+from repro.core.config import JoinConfig
 from repro.core.join import similarity_join
 from repro.uncertain.parser import parse_uncertain
 from repro.uncertain.string import UncertainString

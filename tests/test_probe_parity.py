@@ -9,6 +9,11 @@ floats under ``==``) must equal those of the equivalent-set-first probe
 frozen in ``tests/helpers.py``, through every posting view — the
 in-memory index, and the rank-limited views over ``MemoryStore`` and
 ``SqliteStore`` — at several rank limits.
+
+The one :class:`~repro.core.engine.CandidateSource` is held to the same
+reference in each of its modes (no postings, in-memory index, either
+store): same candidate ids, bounds and ``length.*``/``qgram.*``
+counters at every probe k from 0 to the build k + 1.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import JoinConfig
+from repro.core.engine import _RankLimitedView, visit_order
 from repro.core.join import similarity_join
+from repro.core.stats import JoinStatistics
 from repro.filters.alpha import segment_match_probability
 from repro.index.inverted import SegmentInvertedIndex
 from repro.index.probe import query_candidates
@@ -34,15 +41,16 @@ from repro.store import (
     build_sqlite_store,
     store_similarity_join,
 )
-from repro.store.source import _RankLimitedView
 from repro.uncertain.alphabet import Alphabet
 from repro.uncertain.parser import parse_uncertain
 from repro.uncertain.string import UncertainString
 from repro.uncertain.worlds import enumerate_worlds
 
 from tests.helpers import (
+    SOURCE_MODES,
     random_collection,
     reference_query_candidates,
+    source_in_mode,
     uncertain_strings,
 )
 
@@ -210,6 +218,74 @@ def test_probe_never_asks_has_segment(kind, seed, tmp_path):
                     expected = reference_query_candidates(view, query, 0.0, **params)
                     assert got == expected, (k, selection, limit, query)
                     probed += len(got)
+    assert probed
+
+
+COUNTERS = (
+    ("length", "eligible"),
+    ("length", "survivors"),
+    ("qgram", "survivors"),
+    ("qgram", "rejected"),
+)
+
+
+@pytest.mark.parametrize("mode", SOURCE_MODES)
+@pytest.mark.parametrize("seed", range(3))
+def test_source_modes_match_frozen_reference(mode, seed, tmp_path):
+    # Registered in visit order and probed at two prefixes, every mode
+    # answers each probe k in 0..k+1 like the frozen probe over a plain
+    # index of the same prefix (or, without Q, like the length filter).
+    rng = random.Random(seed)
+    collection = random_collection(
+        rng, 16, length_range=(2, 9), theta=0.4, alphabet=Alphabet("AC")
+    )
+    queries = collection[:3] + random_collection(
+        rng, 2, length_range=(2, 9), theta=0.4, alphabet=Alphabet("AC")
+    )
+    k, q, tau = 2, 2, 0.05
+    visits = visit_order(collection)
+    source = source_in_mode(mode, collection, k, q, tmp_path, tau=tau)
+    index = SegmentInvertedIndex(k=k, q=q)
+    params = dict(selection="shift", group_mode="exact", bound_mode="paper")
+    probed = 0
+    for rank, (string_id, string) in enumerate(visits):
+        source.add(string_id, string, JoinStatistics())
+        index.add(rank, string)
+        if rank + 1 not in (len(visits) // 2, len(visits)):
+            continue
+        for query in queries:
+            for probe_k in range(k + 2):
+                stats = JoinStatistics()
+                got = source.probe(query, tau, stats, probe_k)
+                eligible = [
+                    visits[r][0]
+                    for r in range(rank + 1)
+                    if abs(len(visits[r][1]) - len(query)) <= probe_k
+                ]
+                if mode == "none":
+                    expected = [(string_id, None) for string_id in eligible]
+                    counts = (len(eligible), len(eligible), 0, 0)
+                else:
+                    expected = [
+                        (visits[c.string_id][0], c.upper)
+                        for c in sorted(
+                            reference_query_candidates(
+                                index, query, tau, k=probe_k, **params
+                            ),
+                            key=lambda c: c.string_id,
+                        )
+                    ]
+                    counts = (
+                        len(eligible),
+                        0,
+                        len(expected),
+                        len(eligible) - len(expected),
+                    )
+                assert got == expected, (rank, query, probe_k)
+                assert tuple(
+                    stats.stage_count(*counter) for counter in COUNTERS
+                ) == counts
+                probed += len(got)
     assert probed
 
 

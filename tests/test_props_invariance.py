@@ -7,7 +7,6 @@ pairs, and growing tau can only shrink the result.
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

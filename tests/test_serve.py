@@ -251,6 +251,18 @@ class TestDegradation:
         assert isinstance(error["matches"], list)
         assert ERROR_STATUS["deadline_exceeded"] == 504
 
+    def test_deadline_holds_inside_one_long_verification(
+        self, service, collection
+    ):
+        # At k=5 the exact verification of the first string against
+        # itself alone runs for seconds; the trie traversal's own
+        # deadline check points end the request near its deadline.
+        started = time.perf_counter()
+        document = service.search(texts(collection)[0], k=5, timeout=0.5)
+        elapsed = time.perf_counter() - started
+        assert document["error"]["type"] == "deadline_exceeded"
+        assert elapsed < 0.5 + 1.0
+
 
 class TestAdmission:
     def test_validates_limits(self):

@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import JoinConfig
+from repro.core.engine import JoinEngine, visit_order
 from repro.core.errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -38,6 +39,7 @@ from repro.core.parallel import parallel_similarity_join
 from repro.core.search import SimilaritySearcher
 from repro.core.stats import JoinStatistics
 from repro.core.topk import top_k_join
+from repro.index.inverted import SegmentInvertedIndex, segment_postings
 from repro.partition.even import partition_for
 from repro.store import (
     MemoryStore,
@@ -69,6 +71,16 @@ K, Q = 2, 2
 
 def canonical(strings):
     return [format_uncertain(s, precision=17) for s in strings]
+
+
+def posting_words(collection, k, q):
+    """``(length, segment index)`` → the sorted words with postings, as
+    the one posting builder lists them."""
+    words: dict[tuple[int, int], set[str]] = {}
+    for string in collection:
+        for segment_index, word, _ in segment_postings(string, q, k):
+            words.setdefault((len(string), segment_index), set()).add(word)
+    return {key: sorted(found) for key, found in words.items()}
 
 
 @pytest.fixture(scope="module")
@@ -234,34 +246,40 @@ class TestStoreEquivalence:
         )
 
     def test_posting_lists_at_every_rank_limit(
-        self, memory_store, sqlite_store
+        self, collection, memory_store, sqlite_store
     ):
-        lengths = sorted(set(memory_store.lengths_in_visit_order()))
+        # The stores' rank-limited reads equal an index built
+        # incrementally, in visit order, up to the limit.
+        by_length: dict[int, set[str]] = {}
+        for (length, _), words in posting_words(collection, K, Q).items():
+            by_length.setdefault(length, set()).update(words)
+        visits = visit_order(collection)
+        index = SegmentInvertedIndex(k=K, q=Q)
         count = len(memory_store)
         checked = 0
-        for length in lengths:
-            words = sorted(
-                {
-                    word
-                    for (l, _), lists in memory_store._lists.items()
-                    if l == length
-                    for word in lists
-                }
-            )
-            for segment_index in range(4):
-                for limit in (0, 1, count // 2, count):
+        added = 0
+        for limit in (0, 1, count // 2, count):
+            for rank in range(added, limit):
+                index.add(rank, visits[rank][1])
+            added = limit
+            for length, words in sorted(by_length.items()):
+                words = sorted(words)
+                for segment_index in range(4):
                     expected = memory_store.posting_lists(
                         length, segment_index, words, limit
                     )
                     got = sqlite_store.posting_lists(
                         length, segment_index, words, limit
                     )
+                    built = index.posting_lists(length, segment_index, words)
                     assert {w: list(p) for w, p in got.items()} == {
                         w: list(p) for w, p in expected.items()
-                    }
+                    } == {w: list(p) for w, p in built.items()}
                     assert sqlite_store.has_segment(
                         length, segment_index, limit
-                    ) == memory_store.has_segment(length, segment_index, limit)
+                    ) == memory_store.has_segment(
+                        length, segment_index, limit
+                    ) == index.has_segment(length, segment_index)
                     checked += 1
         assert checked > 0
 
@@ -338,8 +356,9 @@ class TestPostingsLayout:
         assert old_store.meta == sqlite_store.meta
         count = len(memory_store)
         checked = 0
-        for (length, segment_index), lists in memory_store._lists.items():
-            words = sorted(lists)
+        for (length, segment_index), words in posting_words(
+            memory_store.strings_at_ranks(0, count), K, Q
+        ).items():
             for limit in range(count + 1):
                 assert old_store.posting_lists(
                     length, segment_index, words, limit
@@ -420,19 +439,29 @@ class TestStoredFloats:
             assert [by_id[i] for i in range(len(strings))] == strings
 
     def test_posting_lists_identical(self, loaded, stores):
+        # The three posting builders — an index fed the visits in
+        # order, the memory reference and the SQLite file — agree.
         memory_store, sqlite_store = stores
         assert sqlite_store.meta == memory_store.meta
-        for (length, segment), lists in memory_store._lists.items():
-            words = sorted(lists)
+        index = SegmentInvertedIndex(k=2, q=3)
+        for rank, (_, string) in enumerate(visit_order(loaded)):
+            index.add(rank, string)
+        assert index.entry_count == memory_store.meta.entry_count
+        checked = 0
+        for (length, segment), words in posting_words(loaded, 2, 3).items():
             expected = memory_store.posting_lists(
                 length, segment, words, len(loaded)
             )
             got = sqlite_store.posting_lists(
                 length, segment, words, len(loaded)
             )
+            built = index.posting_lists(length, segment, words)
             assert {w: list(p) for w, p in got.items()} == {
                 w: list(p) for w, p in expected.items()
-            }
+            } == {w: list(p) for w, p in built.items()}
+            assert len(expected) == len(words)
+            checked += sum(map(len, expected.values()))
+        assert checked == index.entry_count
 
     def test_top_k_agrees_with_memory(self, loaded, stores):
         _, sqlite_store = stores
@@ -584,6 +613,17 @@ class TestStoreIndexSource:
         ids = list(store.ids_in_visit_order())
         with pytest.raises(ConfigurationError, match="visit order"):
             source.register(ids[1], 5)
+
+    def test_visit_order_enforced_without_qgram(self, store):
+        # A stack without Q reads no postings, yet its candidate ids
+        # still come from the store's ranks: the same check applies.
+        config = JoinConfig.for_algorithm("FCT", k=K, tau=0.1, q=Q)
+        engine = JoinEngine(config, store=store)
+        ids = list(store.ids_in_visit_order())
+        lengths = list(store.lengths_in_visit_order())
+        engine.source.register(ids[0], lengths[0])
+        with pytest.raises(ConfigurationError, match="visit order"):
+            engine.source.register(ids[2], lengths[2])
 
 
 class TestDriverParity:

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.uncertain.parser import parse_uncertain
-from repro.uncertain.position import UncertainPosition
 from repro.uncertain.string import UncertainString
 
 
