@@ -1,13 +1,20 @@
-"""Benchmark runner: hot-kernel micro-benchmarks + end-to-end joins.
+"""``python -m benchmarks.gate`` — the benchmark regression gate.
 
-One registry of kernel cases (:data:`KERNELS`) is shared by
+Hot-kernel micro-benchmarks, end-to-end joins, a mixed serve workload
+and the out-of-core store contrast, written as one JSON document and
+checked against a committed baseline::
 
-* ``benchmarks/test_micro_kernels.py`` — the pytest-benchmark suite,
-* ``python -m benchmarks.run`` / ``repro-join bench`` — the JSON runner
-  behind the committed ``BENCH_5.json`` trajectory file, and
-* the CI regression gate (``--check``), which fails the build when a
-  kernel regresses by more than :data:`DEFAULT_TOLERANCE` × against the
-  committed baseline.
+    PYTHONPATH=src python -m benchmarks.gate --quick --check BENCH_10.json
+    PYTHONPATH=src python -m benchmarks.gate --output BENCH_10.json
+
+The first form is the CI gate: it fails (exit 1) when a kernel or join
+regresses by more than :data:`DEFAULT_TOLERANCE` × against the committed
+file, or when a baseline-free invariant breaks (see
+:func:`check_regressions`). The second re-records the baseline.
+
+One registry of kernel cases (:data:`KERNELS`) is shared with
+``benchmarks/test_micro_kernels.py``, the pytest-benchmark suite
+(``pytest benchmarks/test_micro_kernels.py -k cdf`` runs a subset).
 
 Timing is plain ``perf_counter`` batching: each kernel callable is run
 in growing batches until :data:`MIN_MEASURE_SECONDS` of wall clock is
@@ -37,8 +44,8 @@ JOIN_SIZE = 300
 #: Out-of-core headline (DESIGN.md §6i): collection sizes of the
 #: store-vs-memory contrast. Both joins run under the SAME address-space
 #: budget (:data:`STORE_MARGIN_BYTES` above the interpreter baseline);
-#: the SqliteStore leg must complete, the in-memory leg must hit
-#: MemoryError. The quick size keeps the CI leg under a minute while
+#: the SqliteStore leg must complete, the in-memory leg must run out of
+#: memory. The quick size keeps the CI leg under a minute while
 #: still sitting ~1.5x beyond what the in-memory driver can fit in the
 #: margin (it fits 45k strings, not 60k); the full size is the
 #: recorded 100k-string headline.
@@ -424,10 +431,66 @@ def measure_join(
     return median
 
 
+def measure_serve(quick: bool = False) -> dict:
+    """The suite's ``serve`` section: one mixed search/top-k workload.
+
+    Degradation and faults are off: the gate tracks the *exact* path's
+    latency (p95) and would be blinded by deliberately shed or sampled
+    requests; the robustness behaviours have their own deterministic
+    tests and the smoke harness. Admission limits are sized so the
+    workload never sheds on a healthy machine — a ``shed > 0`` here is
+    itself a red flag the gate surfaces via the counters.
+    """
+    from benchmarks.loadgen import run_load
+    from repro.core.config import JoinConfig
+    from repro.datasets import dblp_like_collection
+    from repro.serve.service import JoinService, ServeOptions
+    from repro.uncertain.parser import format_uncertain
+
+    size = 60 if quick else 120
+    options = ServeOptions(
+        max_in_flight=8,
+        queue_limit=32,
+        queue_timeout=5.0,
+        request_timeout=30.0,
+        degrade_margin=0.0,
+    )
+    # max_uncertain_positions=4 keeps exact verification tractable for
+    # the top-k requests (the heap starts at tau=0, so early candidates
+    # are verified with no CDF pruning; world counts must stay small).
+    collection = dblp_like_collection(
+        size, theta=0.2, rng=1234, max_uncertain_positions=4
+    )
+    config = JoinConfig.for_algorithm("QFCT", k=2, tau=0.1, q=3)
+    service = JoinService(collection, config, options)
+    # precision=12: the parser's probability-sum tolerance is 1e-6, so
+    # the default 6-significant-digit rendering can fail to re-parse.
+    queries = [
+        format_uncertain(s, precision=12)
+        for s in collection[: max(8, size // 8)]
+    ]
+    # Warm pass (direct calls, no HTTP): populate the CDF memo tables
+    # and per-string profiles so the timed percentiles measure the
+    # steady-state service, mirroring measure_kernel's warm call.
+    for query in queries:
+        service.search(query)
+    service.topk(queries[0], 5)
+    document = run_load(
+        service,
+        queries,
+        clients=4,
+        requests=24 if quick else 60,
+        topk_every=5,
+    )
+    document["size"] = size
+    return document
+
+
 def _run_store_probe(
     mode: str, input_path: str, margin: int
 ) -> dict:
-    """One out-of-core leg in a fresh subprocess (see ``store_probe``).
+    """One out-of-core leg in a fresh subprocess (see
+    :mod:`benchmarks.store_probe`).
 
     A subprocess is mandatory, not a convenience: ``RLIMIT_AS`` cannot
     be lowered for part of a process and raised back by an unprivileged
@@ -440,7 +503,7 @@ def _run_store_probe(
         [
             sys.executable,
             "-m",
-            "repro.report.store_probe",
+            "benchmarks.store_probe",
             mode,
             input_path,
             str(STORE_JOIN_K),
@@ -459,6 +522,7 @@ def _run_store_probe(
             "completed": False,
             "error": f"probe exited {proc.returncode}: "
             + proc.stderr.strip()[-300:],
+            "error_type": None,
             "pairs": None,
             "seconds": None,
             "peak_rss_bytes": None,
@@ -539,28 +603,14 @@ def _backend_report() -> dict:
     }
 
 
-def run_suite(
-    quick: bool = False,
-    join_workers: Sequence[int] = (1, 4),
-    only: str | None = None,
-) -> dict:
-    """The full benchmark suite as a JSON-ready document.
-
-    ``only`` restricts the run to kernel cases whose name matches the
-    fnmatch pattern (e.g. ``--only 'cdf_*'``) and skips the end-to-end
-    join/serve/store sections entirely — a subset document for local
-    iteration, never for the regression gate.
-    """
-    from fnmatch import fnmatch
-
+def run_suite(quick: bool = False) -> dict:
+    """The full benchmark suite as a JSON-ready document."""
     min_seconds = 0.1 if quick else MIN_MEASURE_SECONDS
     join_size = JOIN_SIZE // 2 if quick else JOIN_SIZE
     backends = _backend_report()
     kernels = {}
     skipped: list[str] = []
     for case in KERNELS:
-        if only is not None and not fnmatch(case.name, only):
-            continue
         if not _requirement_available(case.requires):
             skipped.append(case.name)
             print(
@@ -573,19 +623,9 @@ def run_suite(
             f"[bench] {case.name}: {kernels[case.name]['ns_per_op']:.0f} ns/op",
             file=sys.stderr,
         )
-    if only is not None:
-        return {
-            "schema": 1,
-            "quick": quick,
-            "only": only,
-            "backends": backends,
-            "kernels": kernels,
-            "skipped_kernels": skipped,
-            "backend_speedup": backend_speedups(kernels),
-        }
     joins = {}
     skipped_joins: list[str] = []
-    join_cases = [(f"workers{w}", w, "python", "QFCT") for w in join_workers]
+    join_cases = [(f"workers{w}", w, "python", "QFCT") for w in (1, 4)]
     # Native end-to-end legs, sequential so kernel time (not pool
     # scheduling) dominates: workers1_native mirrors workers1 on the
     # full QFCT cascade, and the fct1/fct1_native pair contrasts the
@@ -618,8 +658,6 @@ def run_suite(
             f"({row['pairs_per_sec']:.0f} pairs/sec)",
             file=sys.stderr,
         )
-    from repro.serve.loadgen import measure_serve
-
     serve = {"mixed": measure_serve(quick)}
     row = serve["mixed"]
     print(
@@ -655,22 +693,6 @@ def run_suite(
         "serve": serve,
         "store": store,
     }
-
-
-def compute_speedups(before: dict, after: dict) -> dict:
-    """before/after ratios (>1 = faster now) for kernels and joins."""
-    speedups: dict[str, float] = {}
-    for name, row in after.get("kernels", {}).items():
-        base = before.get("kernels", {}).get(name)
-        if base and row["ns_per_op"] > 0:
-            speedups[name] = base["ns_per_op"] / row["ns_per_op"]
-    for name, row in after.get("join", {}).items():
-        base = before.get("join", {}).get(name)
-        if base and base.get("pairs_per_sec"):
-            speedups[f"join_{name}"] = (
-                row["pairs_per_sec"] / base["pairs_per_sec"]
-            )
-    return speedups
 
 
 def unbaselined_entries(current: dict, baseline: dict) -> list[str]:
@@ -850,8 +872,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="micro-kernel + end-to-end join benchmark runner",
+        prog="python -m benchmarks.gate",
+        description="benchmark suite and regression gate",
     )
     parser.add_argument(
         "-o", "--output", default=None, help="write the JSON document here"
@@ -862,30 +884,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="shorter measurements and a half-size join (CI smoke)",
     )
     parser.add_argument(
-        "--only",
-        default=None,
-        metavar="PATTERN",
-        help="run only kernel cases matching this fnmatch pattern (e.g. "
-        "'cdf_*') and skip the join/serve/store sections; incompatible "
-        "with --check, which needs the full suite",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="JSON",
-        help="embed speedups vs. this previously recorded run",
-    )
-    parser.add_argument(
         "--check",
         default=None,
         metavar="JSON",
-        help="fail (exit 1) on > tolerance regression vs. this baseline",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help=f"--check slowdown tolerance (default {DEFAULT_TOLERANCE:g}x)",
+        help=f"fail (exit 1) on a > {DEFAULT_TOLERANCE:g}x regression vs. "
+        "this baseline",
     )
     parser.add_argument(
         "--allow-new-kernels",
@@ -894,15 +897,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "baseline has no entry for (use when re-recording the baseline)",
     )
     args = parser.parse_args(argv)
-    if args.only and args.check:
-        parser.error("--only runs a subset; the --check gate needs the full suite")
 
-    document = run_suite(quick=args.quick, only=args.only)
-    if args.baseline:
-        with open(args.baseline, encoding="utf-8") as handle:
-            before = json.load(handle)
-        document["baseline"] = before
-        document["speedup"] = compute_speedups(before, document)
+    document = run_suite(quick=args.quick)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
@@ -918,17 +914,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             for entry in unbaselined_entries(document, committed):
                 print(f"[bench] NEW (unbaselined): {entry}", file=sys.stderr)
         failures = check_regressions(
-            document,
-            committed,
-            args.tolerance,
-            allow_new_kernels=args.allow_new_kernels,
+            document, committed, allow_new_kernels=args.allow_new_kernels
         )
         for failure in failures:
             print(f"[bench] REGRESSION: {failure}", file=sys.stderr)
         if failures:
             return 1
         print(
-            f"[bench] regression gate passed (tolerance {args.tolerance:g}x)",
+            f"[bench] regression gate passed (tolerance {DEFAULT_TOLERANCE:g}x)",
             file=sys.stderr,
         )
     return 0

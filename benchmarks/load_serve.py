@@ -2,7 +2,7 @@
 
 Stands up an in-process ``repro-join serve`` service over a synthetic
 dblp-like collection and drives it with concurrent HTTP clients via
-:func:`repro.serve.loadgen.run_load`, printing (and optionally saving)
+:func:`benchmarks.loadgen.run_load`, printing (and optionally saving)
 the latency percentiles and the exhaustive outcome tally. Usage::
 
     PYTHONPATH=src python benchmarks/load_serve.py
@@ -11,7 +11,8 @@ the latency percentiles and the exhaustive outcome tally. Usage::
     PYTHONPATH=src python benchmarks/load_serve.py \
         --inject-faults 'slow@3/0.5,drop@7' --request-timeout 2.0
 
-Unlike the benchmark-suite entry (:func:`measure_serve`), this harness
+Unlike the regression gate's entry
+(:func:`benchmarks.gate.measure_serve`), this harness
 exposes the robustness knobs — admission limits, request deadline,
 degradation margin, fault injection — so saturation and fault
 behaviour can be explored interactively.
@@ -24,15 +25,17 @@ import json
 import sys
 from pathlib import Path
 
-# Allow running from a source checkout without an installed package.
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if _SRC.is_dir() and str(_SRC) not in sys.path:  # pragma: no cover
-    sys.path.insert(0, str(_SRC))
+# Allow running from a source checkout without an installed package;
+# the repository root makes the ``benchmarks`` package importable.
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT, _ROOT / "src"):
+    if _path.is_dir() and str(_path) not in sys.path:  # pragma: no cover
+        sys.path.insert(0, str(_path))
 
+from benchmarks.loadgen import run_load  # noqa: E402
 from repro.core.config import JoinConfig  # noqa: E402
 from repro.core.errors import ReproError  # noqa: E402
 from repro.datasets import dblp_like_collection  # noqa: E402
-from repro.serve.loadgen import run_load  # noqa: E402
 from repro.serve.service import JoinService, ServeOptions  # noqa: E402
 from repro.uncertain.parser import format_uncertain  # noqa: E402
 

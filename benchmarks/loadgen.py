@@ -7,8 +7,8 @@ shed, degraded, deadline-expired, or dropped. The same measurement
 backs three consumers:
 
 * ``benchmarks/load_serve.py`` — the standalone CLI harness,
-* :func:`measure_serve` — the ``serve`` section of the benchmark
-  suite (``repro-join bench``), gated against ``BENCH_8.json`` in CI,
+* :func:`benchmarks.gate.measure_serve` — the ``serve`` section of the
+  regression gate, checked against ``BENCH_10.json`` in CI,
 * the serve tests, which reuse :func:`run_load` for saturation
   scenarios.
 
@@ -28,13 +28,10 @@ import threading
 import time
 from typing import Any, Sequence
 
-from repro.core.config import JoinConfig
 from repro.serve.http import ServerRunner
-from repro.serve.service import JoinService, ServeOptions
-from repro.uncertain.parser import format_uncertain
-from repro.uncertain.string import UncertainString
+from repro.serve.service import JoinService
 
-__all__ = ["measure_serve", "percentile", "run_load"]
+__all__ = ["percentile", "run_load"]
 
 
 def percentile(latencies: Sequence[float], q: float) -> float:
@@ -191,60 +188,3 @@ def run_load(
         "drained": drained,
         "counters": service.stats.serve_counts(),
     }
-
-
-def _bench_service(size: int, options: ServeOptions) -> tuple[JoinService, list[str]]:
-    """Deterministic dblp-like serve workload (collection + query texts)."""
-    from repro.datasets import dblp_like_collection
-
-    # max_uncertain_positions=4 keeps exact verification tractable for
-    # the top-k requests (the heap starts at tau=0, so early candidates
-    # are verified with no CDF pruning; world counts must stay small).
-    collection: list[UncertainString] = dblp_like_collection(
-        size, theta=0.2, rng=1234, max_uncertain_positions=4
-    )
-    config = JoinConfig.for_algorithm("QFCT", k=2, tau=0.1, q=3)
-    service = JoinService(collection, config, options)
-    # precision=12: the parser's probability-sum tolerance is 1e-6, so
-    # the default 6-significant-digit rendering can fail to re-parse.
-    queries = [
-        format_uncertain(s, precision=12)
-        for s in collection[: max(8, size // 8)]
-    ]
-    return service, queries
-
-
-def measure_serve(quick: bool = False) -> dict[str, Any]:
-    """The benchmark suite's ``serve`` section (one mixed workload).
-
-    Degradation and faults are off: the gate tracks the *exact* path's
-    latency (p95) and would be blinded by deliberately shed or sampled
-    requests; the robustness behaviours have their own deterministic
-    tests and the smoke harness. Admission limits are sized so the
-    workload never sheds on a healthy machine — a ``shed > 0`` here is
-    itself a red flag the gate surfaces via the counters.
-    """
-    size = 60 if quick else 120
-    options = ServeOptions(
-        max_in_flight=8,
-        queue_limit=32,
-        queue_timeout=5.0,
-        request_timeout=30.0,
-        degrade_margin=0.0,
-    )
-    service, queries = _bench_service(size, options)
-    # Warm pass (direct calls, no HTTP): populate the CDF memo tables
-    # and per-string profiles so the timed percentiles measure the
-    # steady-state service, mirroring measure_kernel's warm call.
-    for query in queries:
-        service.search(query)
-    service.topk(queries[0], 5)
-    document = run_load(
-        service,
-        queries,
-        clients=4,
-        requests=24 if quick else 60,
-        topk_every=5,
-    )
-    document["size"] = size
-    return document

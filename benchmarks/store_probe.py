@@ -4,8 +4,8 @@ Runs ONE join leg — ``store`` (out-of-core, ``SqliteStore``) or
 ``memory`` (classic in-memory driver) — under a hard address-space
 ceiling and reports a JSON document on stdout::
 
-    python -m repro.report.store_probe store  INPUT_PATH K Q TAU MARGIN
-    python -m repro.report.store_probe memory INPUT_PATH K Q TAU MARGIN
+    python -m benchmarks.store_probe store  INPUT_PATH K Q TAU MARGIN
+    python -m benchmarks.store_probe memory INPUT_PATH K Q TAU MARGIN
 
 ``INPUT_PATH`` is a store file for the ``store`` leg and a collection
 file for the ``memory`` leg. ``MARGIN`` (bytes) is the memory budget
@@ -13,14 +13,15 @@ file for the ``memory`` leg. ``MARGIN`` (bytes) is the memory budget
 address-space size, adds the margin, and installs the sum as
 ``RLIMIT_AS`` — so the same margin means the same usable budget on any
 machine, regardless of how much address space the interpreter maps at
-startup. An allocation beyond the ceiling raises ``MemoryError``,
-which the child folds into ``{"completed": false, ...}`` instead of a
-traceback; the parent asserts that the store leg completes and the
-in-memory leg does not, under the *same* budget.
+startup. An allocation beyond the ceiling raises ``MemoryError``
+(or, see :func:`fold_error`, a ``SystemError``), which the child folds
+into ``{"completed": false, ...}`` instead of a traceback; the parent
+asserts that the store leg completes and the in-memory leg does not,
+under the *same* budget.
 
 The document always carries ``peak_rss_bytes`` (sampled live RSS — see
 :class:`_RssSampler` for why ``ru_maxrss`` cannot be trusted here) so
-the recorded ``BENCH_9.json`` ties the headline claim to a measured
+the recorded ``BENCH_10.json`` ties the headline claim to a measured
 number. On platforms without ``/proc/self/statm`` the ceiling cannot
 be anchored to the baseline; the child then runs unlimited and reports
 ``"limited": false`` so the parent can skip the must-fail assertion
@@ -115,6 +116,33 @@ def _run_memory(path: str, k: int, q: int, tau: float) -> int:
     return len(outcome.pairs)
 
 
+#: What CPython reports when a C call returns NULL without raising.
+_NO_EXCEPTION_SET = "error return without exception set"
+
+
+def fold_error(exc: BaseException) -> dict[str, Any]:
+    """The document fields of a leg that raised ``exc``.
+
+    ``error_type`` is the class actually raised; ``error`` names the
+    failure. Under the ceiling that is almost always ``MemoryError``,
+    but CPython 3.11 cannot raise it when the allocation that fails is
+    a new chunk of the interpreter's frame stack (the ``mmap`` behind a
+    Python call that crosses a chunk boundary): the call returns NULL
+    with no exception set, which surfaces as ``SystemError: error
+    return without exception set``. That case is out of memory too, so
+    it is recorded as ``error: "MemoryError"`` with ``error_type:
+    "SystemError"``.
+    """
+    name = type(exc).__name__
+    if isinstance(exc, MemoryError) or (
+        isinstance(exc, SystemError) and str(exc) == _NO_EXCEPTION_SET
+    ):
+        error = "MemoryError"
+    else:
+        error = f"{name}: {exc}"[:300]
+    return {"completed": False, "error": error, "error_type": name, "pairs": None}
+
+
 def main(argv: "list[str] | None" = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     mode, path = args[0], args[1]
@@ -140,16 +168,10 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         runner = _run_store if mode == "store" else _run_memory
         pairs = runner(path, k, q, tau)
-    except MemoryError:
-        document.update(completed=False, error="MemoryError", pairs=None)
     except Exception as exc:  # noqa: BLE001 - sqlite may wrap the OOM
-        document.update(
-            completed=False,
-            error=f"{type(exc).__name__}: {exc}"[:300],
-            pairs=None,
-        )
+        document.update(fold_error(exc))
     else:
-        document.update(completed=True, error=None, pairs=pairs)
+        document.update(completed=True, error=None, error_type=None, pairs=pairs)
     document["seconds"] = time.perf_counter() - start
     document["peak_rss_bytes"] = sampler.stop()
     json.dump(document, sys.stdout)

@@ -2,9 +2,10 @@
 
 Not a paper figure — these quantify the building blocks so regressions
 in the substrates are visible independently of the join. The cases come
-from the shared registry in :mod:`repro.report.bench` (:data:`KERNELS`),
-the same definitions the JSON runner (``python -m benchmarks.run``) and
-the CI regression gate measure — one registry, three consumers. A
+from the shared registry in :mod:`benchmarks.gate` (:data:`KERNELS`),
+the same definitions the CI regression gate
+(``python -m benchmarks.gate``) measures — one registry, two consumers;
+``pytest benchmarks/test_micro_kernels.py -k cdf`` runs a subset. A
 couple of context-only cases (full edit distance, trie build) that the
 gate does not track are kept locally.
 """
@@ -14,10 +15,10 @@ import random
 import pytest
 
 from repro.distance.edit import edit_distance
-from repro.report.bench import KERNELS, _requirement_available
 from repro.verify.trie import build_trie
 
 from benchmarks.conftest import dblp
+from benchmarks.gate import KERNELS, _requirement_available
 
 EXPERIMENT = "micro_kernels"
 

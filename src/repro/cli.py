@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Four subcommands covering the end-to-end workflow on collection files
+Subcommands covering the end-to-end workflow on collection files
 (one uncertain string per line in the ``A{(C,0.5),(G,0.5)}T`` notation):
 
 * ``repro-join gen`` — generate a synthetic dataset (dblp-like or
@@ -26,8 +26,6 @@ Four subcommands covering the end-to-end workflow on collection files
   requests with per-request tau/k under admission control, request
   deadlines, and graceful degradation (see :mod:`repro.serve`).
 * ``repro-join verify`` — exact ``Pr(ed <= k)`` for two strings.
-* ``repro-join bench`` — hot-kernel/join benchmark suite (all flags
-  pass through to ``python -m benchmarks.run``).
 
 Examples::
 
@@ -43,7 +41,6 @@ Examples::
     repro-join topk names.txt -k 2 --count 10
     repro-join serve names.txt -k 2 --tau 0.1 --port 8765
     repro-join verify "banana" "ban{(a,0.7),(e,0.3)}na" -k 1
-    repro-join bench --quick -o bench.json --baseline BENCH_5.json
 """
 
 from __future__ import annotations
@@ -447,12 +444,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.report.bench import main as bench_main
-
-    return bench_main(list(args.bench_args))
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     left = parse_uncertain(args.left)
     right = parse_uncertain(args.right)
@@ -657,18 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(func=_cmd_serve)
 
-    bench = commands.add_parser(
-        "bench",
-        help="run the kernel/join benchmark suite (see benchmarks.run)",
-    )
-    bench.add_argument(
-        "bench_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to the benchmark runner "
-        "(-o/--output, --quick, --only, --baseline, --check, --tolerance)",
-    )
-    bench.set_defaults(func=_cmd_bench)
-
     verify = commands.add_parser("verify", help="exact Pr(ed(a, b) <= k)")
     verify.add_argument("left")
     verify.add_argument("right")
@@ -679,14 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments[:1] == ["bench"]:
-        # argparse.REMAINDER refuses option-like tokens right after a
-        # subcommand, so forward everything past "bench" ourselves.
-        from repro.report.bench import main as bench_main
-
-        return bench_main(arguments[1:])
-    args = build_parser().parse_args(arguments)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

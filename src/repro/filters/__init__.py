@@ -33,7 +33,6 @@ from repro.filters.frequency import (
     chebyshev_upper_bound,
 )
 from repro.filters.cdf import CdfBoundFilter, cdf_bounds
-from repro.filters.overlap import OverlapCountFilter
 
 __all__ = [
     "FilterDecision",
@@ -56,5 +55,4 @@ __all__ = [
     "chebyshev_upper_bound",
     "CdfBoundFilter",
     "cdf_bounds",
-    "OverlapCountFilter",
 ]

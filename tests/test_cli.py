@@ -256,6 +256,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_bench_subcommand_is_gone(self):
+        # The benchmark gate lives in benchmarks/ (python -m benchmarks.gate).
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

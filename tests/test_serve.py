@@ -25,7 +25,6 @@ from repro.core.search import SimilaritySearcher
 from repro.datasets.presets import dblp_like_collection
 from repro.serve.admission import AdmissionController
 from repro.serve.http import ServerRunner
-from repro.serve.loadgen import percentile, run_load
 from repro.serve.protocol import (
     ERROR_STATUS,
     encode_document,
@@ -35,6 +34,7 @@ from repro.serve.protocol import (
 from repro.serve.service import JoinService, ServeOptions
 from repro.uncertain.parser import format_uncertain, parse_uncertain
 
+from benchmarks.loadgen import percentile, run_load
 from tests.helpers import random_collection
 
 
